@@ -164,14 +164,10 @@ def _cmd_validate(args: argparse.Namespace) -> None:
     )
     problems: list[str] = []
     kind = GeneratorKind(args.kind) if args.kind else None
-    if kind is GeneratorKind.RANDOM:
-        if not report.covered:
-            problems.append("not every poster is reviewed")
-    else:
-        if not report.covered:
-            problems.append("not every poster is reviewed")
-        if not report.connected:
-            problems.append("the co-review graph is not connected")
+    if not report.covered:
+        problems.append("not every poster is reviewed")
+    if kind is not GeneratorKind.RANDOM and not report.connected:
+        problems.append("the co-review graph is not connected")
     if kind in (GeneratorKind.NB1, GeneratorKind.NB2):
         if report.replication_spread > 1:
             problems.append(f"replication spread {report.replication_spread} exceeds 1")

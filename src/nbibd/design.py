@@ -264,19 +264,20 @@ class _UnionFind:
         return True
 
 
-def _prefix_connected_flags(design: Design) -> list[bool]:
-    """For every prefix length 1..b, whether reviewed posters form one component.
+def _prefix_connected_flags(t: int, groups: Iterable[Sequence[int]]) -> list[bool]:
+    """For every prefix of groups, whether the posters seen so far form one component.
 
-    Single incremental pass: edges only accumulate as the prefix grows,
-    so the component count among seen posters is (#seen - #merges).
+    Each group (a block, or one judge's observed posters) joins its
+    members.  Single incremental pass: edges only accumulate as the
+    prefix grows, so the component count among seen posters is
+    (#seen - #merges).
     """
-    uf = _UnionFind(design.t)
-    seen = np.zeros(design.t, dtype=bool)
+    uf = _UnionFind(t)
+    seen = [False] * t
     seen_count = 0
     merges = 0
     flags: list[bool] = []
-    for block in design.blocks:
-        ids = block.poster_ids
+    for ids in groups:
         for poster in ids:
             if not seen[poster]:
                 seen[poster] = True
@@ -302,17 +303,8 @@ def is_connected(design: Design, prefix_len: int | None = None) -> bool:
         prefix_len = b
     if not 1 <= prefix_len <= b:
         raise ValueError(f"prefix_len must be in [1, {b}], got {prefix_len}")
-    uf = _UnionFind(design.t)
-    seen: set[int] = set()
-    merges = 0
-    for block in design.blocks[:prefix_len]:
-        ids = block.poster_ids
-        seen.update(ids)
-        first = ids[0]
-        for other in ids[1:]:
-            if uf.union(first, other):
-                merges += 1
-    return len(seen) - merges == 1
+    groups = (block.poster_ids for block in design.blocks[:prefix_len])
+    return _prefix_connected_flags(design.t, groups)[-1]
 
 
 def validate(design: Design) -> ValidationReport:
@@ -326,7 +318,7 @@ def validate(design: Design) -> ValidationReport:
     if pair_total != b * k * (k - 1):
         raise RuntimeError(f"concurrence total {pair_total} != b*k*(k-1) = {b * k * (k - 1)}; tallies corrupted")
 
-    flags = _prefix_connected_flags(design)
+    flags = _prefix_connected_flags(t, (block.poster_ids for block in design.blocks))
     covered = bool(replication.min() >= 1)
     b_min = design.config.b_min
     if b < b_min:

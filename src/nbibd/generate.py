@@ -26,7 +26,6 @@ __all__ = [
     "GenerationTrace",
     "NB1InfeasibleBudget",
     "generate",
-    "generate_random_baseline",
     "extend",
 ]
 
@@ -117,6 +116,19 @@ def _draw_block(
     return _fill_least_reviewed(replication, members, config.k, rng)
 
 
+def _draw_random_block(config: DesignConfig, replication: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """Random-baseline block: drain the unreviewed pool first, then sample uniformly."""
+    unreviewed = np.flatnonzero(replication == 0)
+    if unreviewed.size == 0:
+        return [int(p) for p in rng.choice(config.t, size=config.k, replace=False)]
+    take = min(config.k, unreviewed.size)
+    members = [int(p) for p in rng.choice(unreviewed, size=take, replace=False)]
+    if take < config.k:
+        reviewed = np.flatnonzero(replication > 0)
+        members.extend(int(p) for p in rng.choice(reviewed, size=config.k - take, replace=False))
+    return members
+
+
 def _pair_conflict(concurrence: np.ndarray, members: list[int]) -> bool:
     for position, a in enumerate(members):
         row = concurrence[a]
@@ -142,53 +154,37 @@ def _commit(
     blocks.append(Block(judge_index=index, poster_ids=tuple(members), faculty=index < faculty_blocks))
 
 
-def _near_balanced_attempt(
+def _append_blocks(
     config: DesignConfig,
-    check_pairs: bool,
+    kind: GeneratorKind,
+    stop: int,
+    replication: np.ndarray,
+    concurrence: np.ndarray,
+    blocks: list[Block],
     rng: np.random.Generator,
-) -> tuple[list[Block], np.ndarray, np.ndarray, int]:
-    replication = np.zeros(config.t, dtype=np.int64)
-    concurrence = np.zeros((config.t, config.t), dtype=np.int64)
-    blocks: list[Block] = []
+) -> int:
+    """Draw and commit blocks len(blocks)..stop-1 in place; returns the rejected count.
+
+    nb1 discards any candidate that would let a pair of posters meet
+    twice and raises _RestartSignal once a single block has collected
+    config.max_attempts consecutive discards.
+    """
     rejected = 0
-    for index in range(config.b):
+    for index in range(len(blocks), stop):
         discards = 0
         while True:
-            members = _draw_block(index, config, replication, rng)
-            if not check_pairs or not _pair_conflict(concurrence, members):
+            if kind is GeneratorKind.RANDOM:
+                members = _draw_random_block(config, replication, rng)
+            else:
+                members = _draw_block(index, config, replication, rng)
+            if kind is not GeneratorKind.NB1 or not _pair_conflict(concurrence, members):
                 break
             rejected += 1
             discards += 1
             if discards >= config.max_attempts:
                 raise _RestartSignal(rejected)
         _commit(index, members, config.faculty_blocks, replication, concurrence, blocks)
-    return blocks, replication, concurrence, rejected
-
-
-def _random_baseline_blocks(
-    config: DesignConfig,
-    rng: np.random.Generator,
-) -> tuple[list[Block], np.ndarray, np.ndarray]:
-    if config.b * config.k < config.t:
-        raise ValueError(
-            f"cannot cover {config.t} posters with {config.b} blocks of size {config.k}"
-        )
-    replication = np.zeros(config.t, dtype=np.int64)
-    concurrence = np.zeros((config.t, config.t), dtype=np.int64)
-    blocks: list[Block] = []
-    for index in range(config.b):
-        unreviewed = np.flatnonzero(replication == 0)
-        if unreviewed.size > 0:
-            take = min(config.k, unreviewed.size)
-            members = [int(p) for p in rng.choice(unreviewed, size=take, replace=False)]
-            if take < config.k:
-                reviewed = np.flatnonzero(replication > 0)
-                fill = rng.choice(reviewed, size=config.k - take, replace=False)
-                members.extend(int(p) for p in fill)
-        else:
-            members = [int(p) for p in rng.choice(config.t, size=config.k, replace=False)]
-        _commit(index, members, config.faculty_blocks, replication, concurrence, blocks)
-    return blocks, replication, concurrence
+    return rejected
 
 
 def generate(
@@ -204,20 +200,21 @@ def generate(
     continues the same random stream, so a given seed still yields
     exactly one output.  After restart_budget restarts the parameter
     combination is deemed infeasible and NB1InfeasibleBudget is raised.
+    The random baseline raises ValueError when b*k < t, since it
+    promises coverage.
     """
     kind = GeneratorKind(kind)
+    if kind is GeneratorKind.RANDOM and config.b * config.k < config.t:
+        raise ValueError(f"cannot cover {config.t} posters with {config.b} blocks of size {config.k}")
     rng = _new_stream(config.seed)
-    if kind is GeneratorKind.RANDOM:
-        blocks, replication, concurrence = _random_baseline_blocks(config, rng)
-        design = Design(config, tuple(blocks), replication, concurrence)
-        return design, GenerationTrace(restarts=0, rejected_blocks=0, seed_used=config.seed)
-
-    check_pairs = kind is GeneratorKind.NB1
     restarts = 0
     rejected_total = 0
     while True:
+        replication = np.zeros(config.t, dtype=np.int64)
+        concurrence = np.zeros((config.t, config.t), dtype=np.int64)
+        blocks: list[Block] = []
         try:
-            blocks, replication, concurrence, rejected = _near_balanced_attempt(config, check_pairs, rng)
+            rejected_total += _append_blocks(config, kind, config.b, replication, concurrence, blocks, rng)
         except _RestartSignal as signal:
             rejected_total += signal.rejected
             restarts += 1
@@ -228,22 +225,7 @@ def generate(
                 ) from None
             continue
         design = Design(config, tuple(blocks), replication, concurrence)
-        trace = GenerationTrace(
-            restarts=restarts,
-            rejected_blocks=rejected_total + rejected,
-            seed_used=config.seed,
-        )
-        return design, trace
-
-
-def generate_random_baseline(config: DesignConfig) -> Design:
-    """Coverage-only baseline: drain the unreviewed pool, then sample uniformly.
-
-    Identical to generate(config, "random") and exposed separately
-    because it is the comparison arm of the simulation harness.
-    """
-    design, _ = generate(config, GeneratorKind.RANDOM)
-    return design
+        return design, GenerationTrace(restarts=restarts, rejected_blocks=rejected_total, seed_used=config.seed)
 
 
 def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) -> Design:
@@ -268,33 +250,12 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     replication = design.replication.copy()
     concurrence = design.concurrence.copy()
     blocks = list(design.blocks)
-    check_pairs = kind is GeneratorKind.NB1
-
-    for index in range(start, start + additional_blocks):
-        if kind is GeneratorKind.RANDOM:
-            unreviewed = np.flatnonzero(replication == 0)
-            if unreviewed.size > 0:
-                take = min(config.k, unreviewed.size)
-                members = [int(p) for p in rng.choice(unreviewed, size=take, replace=False)]
-                if take < config.k:
-                    reviewed = np.flatnonzero(replication > 0)
-                    fill = rng.choice(reviewed, size=config.k - take, replace=False)
-                    members.extend(int(p) for p in fill)
-            else:
-                members = [int(p) for p in rng.choice(config.t, size=config.k, replace=False)]
-        else:
-            discards = 0
-            while True:
-                members = _draw_block(index, config, replication, rng)
-                if not check_pairs or not _pair_conflict(concurrence, members):
-                    break
-                discards += 1
-                if discards >= config.max_attempts:
-                    raise NB1InfeasibleBudget(
-                        f"no pair-compatible block found after {discards} attempts while extending "
-                        f"block {index} at t={config.t}, k={config.k}"
-                    )
-        _commit(index, members, config.faculty_blocks, replication, concurrence, blocks)
-
+    try:
+        _append_blocks(config, kind, start + additional_blocks, replication, concurrence, blocks, rng)
+    except _RestartSignal:
+        raise NB1InfeasibleBudget(
+            f"no pair-compatible block found after {config.max_attempts} attempts while extending "
+            f"block {len(blocks)} at t={config.t}, k={config.k}"
+        ) from None
     new_config = replace(config, b=start + additional_blocks)
     return Design(new_config, tuple(blocks), replication, concurrence)

@@ -2,17 +2,21 @@
 
 Both fits estimate mu + P_i for every reviewed poster under
 score = mu + poster effect + judge effect + noise, identified by
-sum-to-zero constraints.  fit_fixed treats judges as fixed nuisance
-columns and therefore needs a connected co-review graph.  fit_random
-treats judges as draws from N(0, var_judge); the variance components
-come from restricted maximum likelihood profiled down to the single
-ratio theta = var_judge / var_error, which keeps the search
+sum-to-zero constraints, and both reduce the data to the same poster
+system.  Each judge's block of observations is weighted by a shrink
+factor on its mean: theta/(1 + theta*s) for a judge of size s in the
+random fit, where theta = var_judge / var_error, and 1/s in the fixed
+fit, the theta -> infinity limit that is Yates's intra-block analysis.
+fit_fixed treats judges as fixed nuisance effects and therefore needs a
+connected co-review graph.  fit_random treats judges as draws from
+N(0, var_judge); the variance components come from restricted maximum
+likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
-The judge covariance never materializes as an n-by-n matrix: each
-judge's block of I + theta*ones inverts in closed form, so the weighted
-cross-products reduce to a handful of per-group-size matrices and every
-candidate theta costs one Cholesky factorization of the poster system.
+The judge covariance never materializes as an n-by-n matrix: the
+weighted cross-products reduce to a handful of per-group-size matrices,
+so a fit, or a candidate theta, costs one Cholesky factorization of the
+poster system.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 
 from ._util import FileFormatError, atomic_write_text, format_float, parse_float, parse_int
-from .design import Design
+from .design import Design, _prefix_connected_flags
 
 __all__ = [
     "ScoreTable",
@@ -146,7 +150,10 @@ class FitResult:
     pmm and se are length-t with NaN for unreviewed posters; rank is
     length-t with 1 = best and 0 marking unranked (unreviewed) posters.
     var_judge is NaN for the fixed model, whose judge effects are not
-    variance components.  condition_number diagnoses the final solve.
+    variance components.  condition_number is the 2-norm condition
+    number of the poster information matrix of the final solve (for the
+    fixed model, with J/p added to remove its null vector); either fit
+    raises SingularFit when it exceeds 1e12.
     """
 
     model_kind: str
@@ -187,125 +194,6 @@ def _check_table(design: Design, scores: ScoreTable) -> None:
         )
 
 
-def _observed_connected(judges: np.ndarray, posters: np.ndarray, t: int) -> bool:
-    """Whether the posters appearing in the observations form one component."""
-    parent = list(range(t))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    order = np.argsort(judges, kind="stable")
-    seen: set[int] = set()
-    merges = 0
-    cursor = 0
-    n = judges.size
-    while cursor < n:
-        judge = judges[order[cursor]]
-        first = int(posters[order[cursor]])
-        seen.add(first)
-        cursor += 1
-        while cursor < n and judges[order[cursor]] == judge:
-            poster = int(posters[order[cursor]])
-            seen.add(poster)
-            ra, rb = find(first), find(poster)
-            if ra != rb:
-                parent[rb] = ra
-                merges += 1
-            cursor += 1
-    return len(seen) - merges == 1
-
-
-def _fixed_solution(design: Design, scores: ScoreTable) -> dict:
-    """Solve the fixed-effects system; returns estimates plus residual internals."""
-    _check_table(design, scores)
-    judges, posters, y = scores.judges, scores.posters, scores.scores
-    if not _observed_connected(judges, posters, scores.t):
-        raise DisconnectedDesign(
-            "the observed co-review graph is not connected; poster contrasts are not estimable"
-        )
-    reviewed = np.unique(posters)
-    judges_present = np.unique(judges)
-    n = y.size
-    t_r = reviewed.size
-    b_r = judges_present.size
-    p = t_r + b_r - 1
-    dof = n - p
-    if dof < 1:
-        raise SingularFit("no residual degrees of freedom for the error variance")
-
-    poster_col = np.searchsorted(reviewed, posters)
-    judge_col = np.searchsorted(judges_present, judges)
-    rows = np.arange(n)
-    design_matrix = np.zeros((n, p))
-    design_matrix[rows, poster_col] = 1.0
-    interior = judge_col < b_r - 1
-    design_matrix[rows[interior], t_r + judge_col[interior]] = 1.0
-    design_matrix[rows[~interior], t_r:] = -1.0
-
-    center = float(y.mean())
-    centered = y - center
-    q, r_factor = np.linalg.qr(design_matrix)
-    diagonal = np.abs(np.diag(r_factor))
-    if diagonal.min() <= diagonal.max() * 1e-12:
-        raise SingularFit("rank-deficient fixed-model system")
-    beta = solve_triangular(r_factor, q.T @ centered)
-    fitted = design_matrix @ beta
-    residuals = centered - fitted
-    rss = float(residuals @ residuals)
-    sigma2 = rss / dof
-    r_inv = solve_triangular(r_factor, np.eye(p))
-    variance_diag = sigma2 * np.einsum("ij,ij->i", r_inv, r_inv)
-    condition = float(np.linalg.cond(r_factor))
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
-        raise SingularFit(f"ill-conditioned fixed-model system (condition {condition:.3e})")
-    return {
-        "reviewed": reviewed,
-        "judges_present": judges_present,
-        "poster_estimates": beta[:t_r] + center,
-        "poster_variances": variance_diag[:t_r],
-        "beta": beta,
-        "residuals": residuals,
-        "sigma2": sigma2,
-        "dof": dof,
-        "condition": condition,
-    }
-
-
-def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
-    """Ordinary least squares with posters and judges as fixed factors.
-
-    Population marginal means are estimated directly as the poster cell
-    means adjusted for sum-to-zero judge effects; with this coding the
-    poster coefficients ARE mu + P_i, so no contrast post-processing is
-    needed.  Posters without observations receive NaN estimates and
-    rank 0 rather than failing the whole fit.
-    """
-    solution = _fixed_solution(design, scores)
-    reviewed = solution["reviewed"]
-    pmm = np.full(design.t, np.nan)
-    se = np.full(design.t, np.nan)
-    pmm[reviewed] = solution["poster_estimates"]
-    se[reviewed] = np.sqrt(np.maximum(solution["poster_variances"], 0.0))
-    eligible = np.zeros(design.t, dtype=bool)
-    eligible[reviewed] = True
-    return FitResult(
-        model_kind="fixed",
-        grand_mean=float(solution["poster_estimates"].mean()),
-        pmm=pmm,
-        se=se,
-        rank=_ranks_desc(np.where(eligible, pmm, -np.inf), eligible),
-        var_judge=float("nan"),
-        var_error=float(solution["sigma2"]),
-        converged=True,
-        condition_number=solution["condition"],
-    )
-
-
 @dataclass
 class _SizeGroup:
     """Sufficient statistics for all judges sharing one block size."""
@@ -318,12 +206,15 @@ class _SizeGroup:
 
 
 @dataclass
-class _RandomTerms:
-    """Precomputed pieces of X' H(theta)^-1 X, X' H^-1 y, and y' H^-1 y.
+class _BlockTerms:
+    """Theta-free statistics both fits reduce to the poster system.
 
-    H = I + theta Z Z' is block diagonal per judge, and each block's
-    inverse is I - theta/(1 + theta*s) * ones, so every quantity is an
-    affine combination of theta-free statistics grouped by judge size s.
+    A fit weights each judge's block by a shrink factor: theta/(1 +
+    theta*s) for the random fit, whose judge block of H^-1 is I - shrink
+    * ones, and 1/s for the fixed fit, the theta -> infinity limit that
+    sweeps out every judge mean.  Either way every quantity is an affine
+    combination of statistics grouped by judge size s.  Scores are
+    centered at their mean; sizes and totals are per present judge.
     """
 
     reviewed: np.ndarray
@@ -331,12 +222,14 @@ class _RandomTerms:
     v0: np.ndarray
     q0: float
     groups: list[_SizeGroup]
+    sizes: np.ndarray
+    totals: np.ndarray
     n: int
     p: int
     center: float
 
 
-def _random_terms(scores: ScoreTable) -> _RandomTerms:
+def _block_terms(scores: ScoreTable) -> _BlockTerms:
     posters, judges, y = scores.posters, scores.judges, scores.scores
     reviewed, poster_col = np.unique(posters, return_inverse=True)
     judges_present, judge_col = np.unique(judges, return_inverse=True)
@@ -368,46 +261,157 @@ def _random_terms(scores: ScoreTable) -> _RandomTerms:
                 square=float(totals @ totals),
             )
         )
-    return _RandomTerms(
+    return _BlockTerms(
         reviewed=reviewed,
         counts=counts,
         v0=v0,
         q0=q0,
         groups=groups,
+        sizes=sizes,
+        totals=judge_totals,
         n=int(y.size),
         p=int(p),
         center=center,
     )
 
 
-def _solve_system(terms: _RandomTerms, theta: float) -> tuple[np.ndarray, float, np.ndarray, float]:
+def _reduce(terms: _BlockTerms, shrink: Callable[[int], float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Poster information matrix, right-hand side and weighted y'y at one shrink rule."""
+    system = np.diag(terms.counts)
+    rhs = terms.v0.copy()
+    quadratic = terms.q0
+    for group in terms.groups:
+        weight = shrink(group.size)
+        if weight != 0.0:
+            system -= weight * group.cross
+            rhs = rhs - weight * group.weighted
+            quadratic -= weight * group.square
+    return system, rhs, quadratic
+
+
+def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the poster system; returns (solution, lower Cholesky factor)."""
+    try:
+        factor = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        raise SingularFit("singular poster information matrix") from None
+    return cho_solve((factor, True), rhs), factor
+
+
+def _checked_inverse(factor: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of the factored poster information matrix and its condition number.
+
+    Raises SingularFit when the condition number exceeds _COND_LIMIT.
+    """
+    condition = float(np.linalg.cond(factor)) ** 2
+    if not np.isfinite(condition) or condition > _COND_LIMIT:
+        raise SingularFit(f"ill-conditioned poster information matrix (condition {condition:.3e})")
+    return cho_solve((factor, True), np.eye(factor.shape[0])), condition
+
+
+def _fit_result(
+    model_kind: str,
+    t: int,
+    reviewed: np.ndarray,
+    estimates: np.ndarray,
+    variances: np.ndarray,
+    var_judge: float,
+    var_error: float,
+    converged: bool,
+    condition: float,
+) -> FitResult:
+    """Spread per-reviewed-poster estimates over all t posters and rank them."""
+    pmm = np.full(t, np.nan)
+    se = np.full(t, np.nan)
+    pmm[reviewed] = estimates
+    se[reviewed] = np.sqrt(np.maximum(variances, 0.0))
+    eligible = np.zeros(t, dtype=bool)
+    eligible[reviewed] = True
+    return FitResult(
+        model_kind=model_kind,
+        grand_mean=float(estimates.mean()),
+        pmm=pmm,
+        se=se,
+        rank=_ranks_desc(np.where(eligible, pmm, -np.inf), eligible),
+        var_judge=var_judge,
+        var_error=var_error,
+        converged=converged,
+        condition_number=condition,
+    )
+
+
+def _posters_by_judge(scores: ScoreTable) -> list[list[int]]:
+    order = np.argsort(scores.judges, kind="stable")
+    cuts = np.flatnonzero(np.diff(scores.judges[order])) + 1
+    return [group.tolist() for group in np.split(scores.posters[order], cuts)]
+
+
+def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
+    """Intra-block least squares with posters and judges as fixed factors.
+
+    Yates's intra-block analysis on the statistics fit_random uses, with
+    every judge's shrink at 1/s: the poster system is C = D - sum g g'/k
+    with right-hand side Q = v - sum T g/k (g a judge's incidence column,
+    T its score total).  C has the null vector 1 on a connected design,
+    so J/p is added before the Cholesky solve; the solution sums to zero
+    and still solves C tau = Q.  The constant is then set so the judge
+    effects sum to zero, which makes the estimates mu + P_i, and the
+    standard errors come from the same contrast.  Needs a connected
+    observed co-review graph.  Posters without observations receive NaN
+    estimates and rank 0 rather than failing the whole fit.
+    """
+    _check_table(design, scores)
+    if not _prefix_connected_flags(scores.t, _posters_by_judge(scores))[-1]:
+        raise DisconnectedDesign(
+            "the observed co-review graph is not connected; poster contrasts are not estimable"
+        )
+    terms = _block_terms(scores)
+    b_r = terms.sizes.size
+    dof = terms.n - terms.p - b_r + 1
+    if dof < 1:
+        raise SingularFit("no residual degrees of freedom for the error variance")
+    system, rhs, quadratic = _reduce(terms, lambda size: 1.0 / size)
+    system += 1.0 / terms.p
+    tau, factor = _cholesky_solve(system, rhs)
+    sigma2 = max(quadratic - float(rhs @ tau), 0.0) / dof
+    inverse, condition = _checked_inverse(factor)
+
+    # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
+    # over poster i's judges; its variance is sigma2 times the diagonal of
+    # (I - 1w'/b) G (I - w1'/b) + sum(1/k)/b^2, G the inverse above
+    inv_sizes = 1.0 / terms.sizes
+    w = sum(np.diag(group.cross) / group.size for group in terms.groups)
+    shift = (float(inv_sizes @ terms.totals) - float(w @ tau)) / b_r
+    gw = inverse @ w
+    variances = np.diag(inverse) - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2
+    return _fit_result(
+        "fixed",
+        design.t,
+        terms.reviewed,
+        tau + shift + terms.center,
+        sigma2 * variances,
+        float("nan"),
+        float(sigma2),
+        True,
+        condition,
+    )
+
+
+def _solve_system(terms: _BlockTerms, theta: float) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Solve the GLS normal equations at a fixed theta.
 
     Returns (poster estimates on centered data, residual sum of squares
     under H(theta)^-1 weighting, Cholesky factor of the poster
     information matrix, log det H).
     """
-    system = np.diag(terms.counts)
-    rhs = terms.v0.copy()
-    quadratic = terms.q0
-    logdet_h = 0.0
-    for group in terms.groups:
-        shrink = theta / (1.0 + theta * group.size)
-        if shrink != 0.0:
-            system -= shrink * group.cross
-            rhs = rhs - shrink * group.weighted
-            quadratic -= shrink * group.square
-        logdet_h += group.count * math.log1p(theta * group.size)
-    try:
-        factor = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        raise SingularFit("singular generalized least squares system") from None
-    beta = cho_solve((factor, True), rhs)
+    system, rhs, quadratic = _reduce(terms, lambda size: theta / (1.0 + theta * size))
+    logdet_h = sum(group.count * math.log1p(theta * group.size) for group in terms.groups)
+    beta, factor = _cholesky_solve(system, rhs)
     rss = quadratic - float(rhs @ beta)
     return beta, rss, factor, logdet_h
 
 
-def _profiled_neg2(terms: _RandomTerms, theta: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _profiled_neg2(terms: _BlockTerms, theta: float) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Restricted -2 log likelihood profiled over the error variance.
 
     Returns (criterion, poster estimates on centered data, sigma2 at the
@@ -431,13 +435,13 @@ def reml_criterion(scores: ScoreTable, theta: float) -> float:
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
-    terms = _random_terms(scores)
+    terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
     return -0.5 * _profiled_neg2(terms, theta)[0]
 
 
-def _search_theta(terms: _RandomTerms) -> tuple[float, bool]:
+def _search_theta(terms: _BlockTerms) -> tuple[float, bool]:
     """Bounded minimization of the profiled criterion over theta >= 0.
 
     The search runs in u = log1p(theta) with an absolute tolerance of
@@ -472,7 +476,7 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
     without observations receive NaN estimates and rank 0.
     """
     _check_table(design, scores)
-    terms = _random_terms(scores)
+    terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
     beta0, rss0, factor0, _ = _solve_system(terms, 0.0)
@@ -484,27 +488,17 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
     else:
         theta, converged = _search_theta(terms)
         _, beta, sigma2, factor = _profiled_neg2(terms, theta)
-    condition = float(np.linalg.cond(factor)) ** 2
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
-        raise SingularFit(f"ill-conditioned GLS system (condition {condition:.3e})")
-    inverse = cho_solve((factor, True), np.eye(terms.p))
-
-    pmm = np.full(design.t, np.nan)
-    se = np.full(design.t, np.nan)
-    pmm[terms.reviewed] = beta + terms.center
-    se[terms.reviewed] = np.sqrt(np.maximum(sigma2 * np.diag(inverse), 0.0))
-    eligible = np.zeros(design.t, dtype=bool)
-    eligible[terms.reviewed] = True
-    return FitResult(
-        model_kind="random",
-        grand_mean=float((beta + terms.center).mean()),
-        pmm=pmm,
-        se=se,
-        rank=_ranks_desc(np.where(eligible, pmm, -np.inf), eligible),
-        var_judge=float(theta * sigma2),
-        var_error=float(sigma2),
-        converged=converged,
-        condition_number=condition,
+    inverse, condition = _checked_inverse(factor)
+    return _fit_result(
+        "random",
+        design.t,
+        terms.reviewed,
+        beta + terms.center,
+        sigma2 * np.diag(inverse),
+        float(theta * sigma2),
+        float(sigma2),
+        converged,
+        condition,
     )
 
 

@@ -28,7 +28,7 @@ from scipy.stats import t as student_t
 
 from ._util import FileFormatError, atomic_write_text, format_float, parse_bool, parse_float, parse_int
 from .design import DesignConfig, is_connected
-from .generate import GeneratorKind, generate
+from .generate import GeneratorKind, NB1InfeasibleBudget, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
 
 __all__ = [
@@ -95,6 +95,10 @@ class SimParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the remaining (t, k, b) constraints are enforced by DesignConfig
         DesignConfig(t=self.t, k=self.k, b=self.b, seed=self.seed)
+        if self.b * self.k < self.t:
+            raise ValueError(
+                f"{self.b} judges of {self.k} reviews each cannot cover {self.t} posters (b*k < t)"
+            )
 
 
 PRESETS: dict[str, SimParams] = {
@@ -197,8 +201,9 @@ def _design_seed(params: SimParams, iteration_seed: int, kind: GeneratorKind) ->
 def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
     """Generate each design, fit the random-judge model, score against truth.
 
-    A design whose fit raises SingularFit is recorded as a failure for
-    this iteration and excluded from the metrics mapping.
+    A kind whose nb1 generation exhausts its restart budget, or whose fit
+    raises SingularFit, is recorded as a failure for this iteration and
+    excluded from the metrics mapping.
     """
     true_scores, matrix = synthesize_scores(params, iteration_seed)
     true_rank = _ranks_desc(true_scores, np.ones(params.t, dtype=bool))
@@ -211,7 +216,11 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
         config = DesignConfig(
             t=params.t, k=params.k, b=params.b, seed=_design_seed(params, iteration_seed, kind)
         )
-        design, _ = generate(config, kind)
+        try:
+            design, _ = generate(config, kind)
+        except NB1InfeasibleBudget:
+            failures.append(kind)
+            continue
         covered = bool(design.replication.min() >= 1)
         disconnected = not (covered and is_connected(design))
         table = ScoreTable.from_design_matrix(design, matrix)
@@ -345,8 +354,8 @@ def aggregate_results(results: Sequence[IterationResult], designs: Sequence[Gene
     """Reduce per-iteration metrics into the report's summary mappings.
 
     A kind's failure count is the number of iterations lacking a metrics
-    entry for it, which covers both recorded SingularFit failures and
-    rows absent from a re-read metrics file.
+    entry for it, which covers both failures recorded by run_iteration
+    and rows absent from a re-read metrics file.
     """
     ordered = sorted(results, key=lambda result: result.iteration)
     kinds = tuple(GeneratorKind(kind) for kind in designs)

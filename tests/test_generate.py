@@ -1,5 +1,7 @@
 """Generator behavior: determinism, balance, concurrence, prefixes, extension."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from nbibd import (
     NB1InfeasibleBudget,
     extend,
     generate,
-    generate_random_baseline,
     is_connected,
     validate,
+    write_design,
 )
 
 # fractional replication (b*k not a multiple of t) keeps the final
@@ -149,12 +151,6 @@ def test_random_rejects_insufficient_capacity():
         generate(DesignConfig(t=30, k=5, b=2, seed=0), "random")
 
 
-def test_generate_random_baseline_matches_generate():
-    config = DesignConfig(t=40, k=5, b=12, seed=21)
-    via_generate, _ = generate(config, GeneratorKind.RANDOM)
-    assert generate_random_baseline(config).blocks == via_generate.blocks
-
-
 def test_faculty_flags_mark_leading_blocks():
     config = DesignConfig(t=20, k=4, b=10, seed=5)
     design, _ = generate(config, "nb2")
@@ -220,3 +216,54 @@ def test_kind_coercion_rejects_unknown():
     config = DesignConfig(seed=0, **SMALL)
     with pytest.raises(ValueError):
         generate(config, "balanced")
+
+
+# sha256 of the design CSV for t=40, k=4, b=20, and of the same design
+# extended by 5 blocks of its own kind; any change to the order of
+# random draws changes these bytes
+GOLDEN = {
+    ("nb1", 0): (
+        "44787f54245003c17882ee5b7681dd66fae02dd8dca13c7caf9d598ab4bfe2e9",
+        "1e51a5baa4004a4f58f88310010bbf755e5c6a179dd69f57ab6870181ce1d05c",
+    ),
+    ("nb1", 7): (
+        "04a0b02b8222e0c97a2bbea35666ed29a086579e46018113dfe6e85fced49ffc",
+        "f78a86b8c508e63af9e5baca33f189495fd5dc3ba151d9b974c44e032d8ac86c",
+    ),
+    ("nb2", 0): (
+        "e7e83107a49d7fdbf902fe20676302f5d8106da1ff9b7409521327df83f5f564",
+        "76f6805271432f6b53aa0607ae9458839b7b7a44f4086f4e7968a0fe7a71607d",
+    ),
+    ("nb2", 7): (
+        "04a0b02b8222e0c97a2bbea35666ed29a086579e46018113dfe6e85fced49ffc",
+        "73a69fae6c1f5a9571f8af1cb47fb7d2f21add5540ee7847f666ff8d03dd62f5",
+    ),
+    ("random", 0): (
+        "2f9097dcc580cbfcb59667c517e26dddb16d2d325b4c936f67a217a26e730987",
+        "a8d5e0c412600da2c7065cb166ac2eb9558c0f07d25f3d8e13d7e2c4b25e09a7",
+    ),
+    ("random", 7): (
+        "4330e7cf563faffc9c398a9edcd47eb98f05128f1a99eea033e156f1cf59a552",
+        "a146aaa11db7ee4b1691d8502f9378f6a2d48e2ccb968c2021925dc09403855d",
+    ),
+}
+
+
+def design_digest(tmp_path, design):
+    path = tmp_path / "design.csv"
+    write_design(str(path), design)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
+def test_designs_keep_their_bytes(tmp_path, kind, seed):
+    design, _ = generate(DesignConfig(t=40, k=4, b=20, seed=seed), kind)
+    assert (design_digest(tmp_path, design), design_digest(tmp_path, extend(design, 5, kind))) == GOLDEN[kind, seed]
+
+
+def test_random_extension_of_an_uncovered_design_keeps_its_bytes(tmp_path):
+    # 7 nb2 blocks leave 18 of 40 posters unreviewed, so the appended
+    # random blocks drain the pool and then top up from reviewed posters
+    short, _ = generate(DesignConfig(t=40, k=4, b=7, seed=3), "nb2")
+    digest = design_digest(tmp_path, extend(short, 6, "random"))
+    assert digest == "9551e0e930feead888f9f688580daf34a776fbde3367164cb80c8065b7596cc1"

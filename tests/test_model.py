@@ -125,30 +125,47 @@ def two_clique_case(seed=3):
     return design, ScoreTable.from_design_matrix(design, matrix)
 
 
+def dropped_cells_table(seed, drop=0.15):
+    """Remove a share of the cells, every review of poster 0 and all of judge 1.
+
+    Judges then score different numbers of posters, poster 0 is left
+    unreviewed and judge 1 scores nothing.
+    """
+    design, table = sample_table(seed, t=18, k=6, b=15, kind="nb2")
+    rng = np.random.default_rng(seed + 100)
+    keep = (rng.random(table.n) >= drop) & (table.posters != 0) & (table.judges != 1)
+    return design, ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
+
+
 def test_fixed_fit_matches_dense_least_squares():
-    for seed in range(6):
-        design, table = sample_table(seed)
+    cases = [sample_table(seed) for seed in range(6)] + [dropped_cells_table(seed) for seed in range(6)]
+    for design, table in cases:
         fit = fit_fixed(design, table)
         pmm, se, sigma2, dof = dense_fixed_oracle(table)
+        assert np.array_equal(np.isnan(fit.pmm), np.isnan(pmm))
         assert np.nanmax(np.abs(fit.pmm - pmm)) < 1e-8
         assert np.nanmax(np.abs(fit.se - se)) < 1e-8
         assert fit.var_error == pytest.approx(sigma2, abs=1e-8)
-        assert dof == table.n - (table.t + design.b - 1)
+        assert dof == table.n - (np.unique(table.posters).size + np.unique(table.judges).size - 1)
         assert fit.model_kind == "fixed"
         assert math.isnan(fit.var_judge)
         assert fit.converged
+    for design, table in cases[6:]:
+        assert np.unique(np.bincount(table.judges)).size > 1
+        assert math.isnan(fit_fixed(design, table).pmm[0])
 
 
 def test_fixed_residuals_are_orthogonal_to_both_factors():
-    from nbibd.model import _fixed_solution
-
-    design, table = sample_table(21)
-    solution = _fixed_solution(design, table)
-    residuals = solution["residuals"] / max(1.0, float(np.abs(table.scores).max()))
-    for judge in range(design.b):
-        assert abs(residuals[table.judges == judge].sum()) < 1e-8
-    for poster in range(design.t):
-        assert abs(residuals[table.posters == poster].sum()) < 1e-8
+    for design, table in (sample_table(21), dropped_cells_table(21)):
+        fit = fit_fixed(design, table)
+        scale = max(1.0, float(np.abs(table.scores).max()))
+        adjusted = table.scores - fit.pmm[table.posters]
+        _, judge_col, sizes = np.unique(table.judges, return_inverse=True, return_counts=True)
+        judge_effects = np.bincount(judge_col, weights=adjusted) / sizes
+        residuals = (adjusted - judge_effects[judge_col]) / scale
+        for poster in np.unique(table.posters):
+            assert abs(residuals[table.posters == poster].sum()) < 1e-8
+        assert abs(judge_effects.sum()) / scale < 1e-8
 
 
 def test_complete_block_estimates_are_raw_poster_means():

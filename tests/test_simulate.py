@@ -175,6 +175,17 @@ def test_difference_summary_sign_and_interval():
         summarize_differences(narrow, ("nb1", "random"), "win_prop")
 
 
+def test_infeasible_nb1_kind_is_recorded_as_failure():
+    # no pair-concurrence-1 design exists at this shape, so nb1 exhausts
+    # its restart budget while the other kinds are still scored
+    params = SimParams(t=10, k=5, b=20, awards=3, iterations=1)
+    result = run_iteration(params, 0)
+    assert result.failures == (NB1,)
+    assert set(result.metrics) == {NB2, RANDOM}
+    for entry in result.metrics.values():
+        assert all(math.isfinite(entry.value(metric)) for metric in METRICS)
+
+
 def test_aggregation_counts_missing_kinds_as_failures():
     results = (
         IterationResult(0, {NB1: metrics_row(), RANDOM: metrics_row(disconnected=True)}),
@@ -321,6 +332,7 @@ def test_params_validation():
         dict(designs=("nb1", "nb1")),
         dict(designs=("balanced",)),
         dict(k=80),
+        dict(b=7),
     ]
     for overrides in cases:
         with pytest.raises(ValueError):
