@@ -1,10 +1,19 @@
-"""Shared file helpers for the CSV codecs."""
+"""The CSV codec every file of the package goes through.
+
+write_csv and read_csv own the framing shared by the design, scores,
+fit, metrics, summary and histogram files: a header row, \\n line ends,
+atomic replacement, rows numbered for error messages, column-count
+checks and the empty-file error.  The parse_* helpers turn one cell into
+a value or a FileFormatError naming the row and column.
+"""
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import tempfile
+from typing import Iterable, Iterator, Sequence
 
 
 class FileFormatError(ValueError):
@@ -17,22 +26,53 @@ class FileFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a sibling temp file and rename.
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header row and then rows as CSV with \\n line ends, atomically.
 
-    Readers never observe a partial file: the rename is atomic on POSIX,
-    and a crash mid-write leaves the original untouched.
+    The file is written to a sibling temp file and renamed over path, so
+    readers never observe a partial file: the rename is atomic on POSIX,
+    and a crash or a failing row leaves the original untouched.
     """
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_csv(
+    path: str, header: Sequence[str] | None = None
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Read a CSV file into its header and its numbered data rows.
+
+    Rows are numbered as FileFormatError reports them: the header is row
+    1, so data rows count from 2.  An empty file is rejected; when header
+    is given the first row must equal it.  The data rows are yielded
+    lazily, so a caller can check a variable header before any row, and
+    each row must have as many cells as the header.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise FileFormatError(path, None, "empty file")
+    if header is not None and rows[0] != list(header):
+        raise FileFormatError(path, 1, f"header must be {','.join(header)}")
+    width = len(rows[0])
+
+    def numbered() -> Iterator[tuple[int, list[str]]]:
+        for number, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                raise FileFormatError(path, number, f"expected {width} columns, got {len(row)}")
+            yield number, row
+
+    return rows[0], numbered()
 
 
 def format_float(value: float) -> str:

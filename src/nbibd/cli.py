@@ -230,13 +230,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
     results = read_metrics(args.metrics)
     kinds = present_kinds(results)
     aggregates = aggregate_results(results, kinds)
-    write_summary(
-        args.out,
-        aggregates["design_summary"],
-        aggregates["difference_summary"],
-        aggregates["disconnected_counts"],
-        aggregates["failure_counts"],
-    )
+    write_summary(args.out, **aggregates)
     line = f"command=report iterations={len(results)} designs={len(kinds)} out={args.out}"
     if args.hist_out:
         write_histogram(args.hist_out, results, kinds, args.hist_bins)

@@ -9,15 +9,13 @@ concurrence, coverage, and connectivity of every generation prefix.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import FileFormatError, atomic_write_text, parse_bool, parse_int
+from ._util import FileFormatError, parse_bool, parse_int, read_csv, write_csv
 
 __all__ = [
     "DesignConfig",
@@ -341,12 +339,11 @@ def validate(design: Design) -> ValidationReport:
 
 def write_design(path: str, design: Design) -> None:
     """Write the design as CSV: judge_index,faculty,poster_1,...,poster_k."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(design.k)])
-    for block in design.blocks:
-        writer.writerow([block.judge_index, "true" if block.faculty else "false"] + list(block.poster_ids))
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(
+        path,
+        ["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(design.k)],
+        ([block.judge_index, "true" if block.faculty else "false", *block.poster_ids] for block in design.blocks),
+    )
 
 
 def read_design(
@@ -362,27 +359,21 @@ def read_design(
     the file; pass the original seed if the design is to be extended
     reproducibly.  Faculty flags must mark a leading run of blocks.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise FileFormatError(path, None, "empty file")
-    header = rows[0]
+    header, rows = read_csv(path)
     if len(header) < 3 or header[:2] != ["judge_index", "faculty"]:
         raise FileFormatError(path, 1, "header must start with judge_index,faculty,poster_1,...")
     k = len(header) - 2
     if header[2:] != [f"poster_{i + 1}" for i in range(k)]:
         raise FileFormatError(path, 1, "poster columns must be named poster_1..poster_k")
-    if not rows[1:]:
-        raise FileFormatError(path, None, "no blocks")
 
     parsed: list[tuple[int, bool, list[int]]] = []
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != k + 2:
-            raise FileFormatError(path, number, f"expected {k + 2} columns, got {len(row)}")
+    for number, row in rows:
         judge = parse_int(row[0], path, number, "judge_index")
         faculty = parse_bool(row[1], path, number, "faculty")
         posters = [parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])]
         parsed.append((judge, faculty, posters))
+    if not parsed:
+        raise FileFormatError(path, None, "no blocks")
 
     if t is None:
         t = 1 + max(max(posters) for _, _, posters in parsed)

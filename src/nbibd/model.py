@@ -21,8 +21,6 @@ poster system.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -31,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 
-from ._util import FileFormatError, atomic_write_text, format_float, parse_float, parse_int
+from ._util import FileFormatError, format_float, parse_float, parse_int, read_csv, write_csv
 from .design import Design, _prefix_connected_flags
 
 __all__ = [
@@ -298,15 +296,17 @@ def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
     return cho_solve((factor, True), rhs), factor
 
 
-def _checked_inverse(factor: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of the factored poster information matrix and its condition number.
+def _checked_condition(system: np.ndarray) -> float:
+    """2-norm condition number of the symmetric poster information matrix.
 
-    Raises SingularFit when the condition number exceeds _COND_LIMIT.
+    The ratio of its extreme eigenvalues; a smallest eigenvalue <= 0
+    counts as infinite.  Raises SingularFit when it exceeds _COND_LIMIT.
     """
-    condition = float(np.linalg.cond(factor)) ** 2
+    eigenvalues = np.linalg.eigvalsh(system)
+    condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0.0 else math.inf
     if not np.isfinite(condition) or condition > _COND_LIMIT:
         raise SingularFit(f"ill-conditioned poster information matrix (condition {condition:.3e})")
-    return cho_solve((factor, True), np.eye(factor.shape[0])), condition
+    return condition
 
 
 def _fit_result(
@@ -374,7 +374,8 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     system += 1.0 / terms.p
     tau, factor = _cholesky_solve(system, rhs)
     sigma2 = max(quadratic - float(rhs @ tau), 0.0) / dof
-    inverse, condition = _checked_inverse(factor)
+    condition = _checked_condition(system)
+    inverse = cho_solve((factor, True), np.eye(terms.p))
 
     # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
     # over poster i's judges; its variance is sigma2 times the diagonal of
@@ -397,6 +398,10 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     )
 
 
+def _random_shrink(theta: float) -> Callable[[int], float]:
+    return lambda size: theta / (1.0 + theta * size)
+
+
 def _solve_system(terms: _BlockTerms, theta: float) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Solve the GLS normal equations at a fixed theta.
 
@@ -404,20 +409,23 @@ def _solve_system(terms: _BlockTerms, theta: float) -> tuple[np.ndarray, float, 
     under H(theta)^-1 weighting, Cholesky factor of the poster
     information matrix, log det H).
     """
-    system, rhs, quadratic = _reduce(terms, lambda size: theta / (1.0 + theta * size))
+    system, rhs, quadratic = _reduce(terms, _random_shrink(theta))
     logdet_h = sum(group.count * math.log1p(theta * group.size) for group in terms.groups)
     beta, factor = _cholesky_solve(system, rhs)
     rss = quadratic - float(rhs @ beta)
     return beta, rss, factor, logdet_h
 
 
-def _profiled_neg2(terms: _BlockTerms, theta: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _profile(
+    terms: _BlockTerms, solved: tuple[np.ndarray, float, np.ndarray, float]
+) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Restricted -2 log likelihood profiled over the error variance.
 
-    Returns (criterion, poster estimates on centered data, sigma2 at the
-    REML divisor, Cholesky factor of the poster information matrix).
+    Takes one _solve_system result and returns (criterion, poster
+    estimates on centered data, sigma2 at the REML divisor, Cholesky
+    factor of the poster information matrix).
     """
-    beta, rss, factor, logdet_h = _solve_system(terms, theta)
+    beta, rss, factor, logdet_h = solved
     dof = terms.n - terms.p
     if rss <= 0.0 or not np.isfinite(rss):
         raise SingularFit("residual sum of squares vanished; error variance is not estimable")
@@ -438,19 +446,31 @@ def reml_criterion(scores: ScoreTable, theta: float) -> float:
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    return -0.5 * _profiled_neg2(terms, theta)[0]
+    return -0.5 * _profile(terms, _solve_system(terms, theta))[0]
 
 
-def _search_theta(terms: _BlockTerms) -> tuple[float, bool]:
+def _search_theta(
+    terms: _BlockTerms, at_zero: tuple[float, np.ndarray, float, np.ndarray]
+) -> tuple[float, bool, np.ndarray, float, np.ndarray]:
     """Bounded minimization of the profiled criterion over theta >= 0.
 
     The search runs in u = log1p(theta) with an absolute tolerance of
-    1e-12, far below the documented 1e-8 relative target on theta; the
-    boundary theta = 0 is always evaluated explicitly and wins ties.
+    1e-12, far below the documented 1e-8 relative target on theta.
+    at_zero is the _profile of the boundary theta = 0, which wins ties.
+    Returns (theta, converged, estimates, sigma2, Cholesky factor); the
+    winner's solve is the one the search already made.
     """
+    best: tuple[float, float, np.ndarray, float, np.ndarray] | None = None
 
     def objective(u: float) -> float:
-        return _profiled_neg2(terms, float(np.expm1(u)))[0]
+        # keep the point bounded Brent reports: the latest evaluation
+        # that ties or beats every earlier one
+        nonlocal best
+        theta = float(np.expm1(u))
+        evaluation = (theta, *_profile(terms, _solve_system(terms, theta)))
+        if best is None or evaluation[1] <= best[1]:
+            best = evaluation
+        return evaluation[1]
 
     result = minimize_scalar(
         objective,
@@ -459,10 +479,10 @@ def _search_theta(terms: _BlockTerms) -> tuple[float, bool]:
         options={"xatol": 1e-12},
     )
     interior = float(np.expm1(result.x))
-    at_zero = _profiled_neg2(terms, 0.0)[0]
-    at_interior = _profiled_neg2(terms, interior)[0]
-    theta = 0.0 if at_zero <= at_interior else interior
-    return theta, bool(result.success)
+    if best is None or best[0] != interior:
+        best = (interior, *_profile(terms, _solve_system(terms, interior)))
+    theta, criterion, beta, sigma2, factor = (0.0, *at_zero) if at_zero[0] <= best[1] else best
+    return theta, bool(result.success), beta, sigma2, factor
 
 
 def fit_random(design: Design, scores: ScoreTable) -> FitResult:
@@ -479,16 +499,15 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    beta0, rss0, factor0, _ = _solve_system(terms, 0.0)
-    if rss0 <= 1e-12 * terms.q0:
+    solved = _solve_system(terms, 0.0)
+    if solved[1] <= 1e-12 * terms.q0:
         # interpolating data (e.g. constant scores): both variance
         # components vanish and the ratio is fixed at the boundary
-        theta, converged = 0.0, True
-        beta, sigma2, factor = beta0, 0.0, factor0
+        theta, converged, beta, sigma2, factor = 0.0, True, solved[0], 0.0, solved[2]
     else:
-        theta, converged = _search_theta(terms)
-        _, beta, sigma2, factor = _profiled_neg2(terms, theta)
-    inverse, condition = _checked_inverse(factor)
+        theta, converged, beta, sigma2, factor = _search_theta(terms, _profile(terms, solved))
+    condition = _checked_condition(_reduce(terms, _random_shrink(theta))[0])
+    inverse = cho_solve((factor, True), np.eye(terms.p))
     return _fit_result(
         "random",
         design.t,
@@ -502,35 +521,32 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
     )
 
 
+_SCORES_HEADER = ["judge_index", "poster_id", "score"]
+
+
 def write_scores(path: str, table: ScoreTable) -> None:
     """Write observations as CSV: judge_index,poster_id,score."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["judge_index", "poster_id", "score"])
-    for judge, poster, score in zip(table.judges, table.posters, table.scores):
-        writer.writerow([int(judge), int(poster), format_float(score)])
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(
+        path,
+        _SCORES_HEADER,
+        (
+            [int(judge), int(poster), format_float(score)]
+            for judge, poster, score in zip(table.judges, table.posters, table.scores)
+        ),
+    )
 
 
 def read_scores(path: str, t: int, b: int, design: Design | None = None) -> ScoreTable:
     """Read a judge_index,poster_id,score CSV into a ScoreTable."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise FileFormatError(path, None, "empty file")
-    if rows[0] != ["judge_index", "poster_id", "score"]:
-        raise FileFormatError(path, 1, "header must be judge_index,poster_id,score")
-    observations: list[tuple[int, int, float]] = []
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise FileFormatError(path, number, f"expected 3 columns, got {len(row)}")
-        observations.append(
-            (
-                parse_int(row[0], path, number, "judge_index"),
-                parse_int(row[1], path, number, "poster_id"),
-                parse_float(row[2], path, number, "score"),
-            )
+    _, rows = read_csv(path, _SCORES_HEADER)
+    observations = [
+        (
+            parse_int(row[0], path, number, "judge_index"),
+            parse_int(row[1], path, number, "poster_id"),
+            parse_float(row[2], path, number, "score"),
         )
+        for number, row in rows
+    ]
     if not observations:
         raise FileFormatError(path, None, "no observations")
     try:
@@ -545,32 +561,31 @@ def write_fit(path: str, fit: FitResult) -> None:
     Unreviewed posters keep their row with empty estimate cells so the
     file always has one row per poster id.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["poster_id", "pmm", "se", "rank"])
-    for poster in range(fit.pmm.shape[0]):
-        if fit.rank[poster] > 0:
-            writer.writerow(
-                [poster, format_float(fit.pmm[poster]), format_float(fit.se[poster]), int(fit.rank[poster])]
-            )
-        else:
-            writer.writerow([poster, "", "", ""])
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(
+        path,
+        ["poster_id", "pmm", "se", "rank"],
+        (
+            [poster, format_float(fit.pmm[poster]), format_float(fit.se[poster]), int(fit.rank[poster])]
+            if fit.rank[poster] > 0
+            else [poster, "", "", ""]
+            for poster in range(fit.pmm.shape[0])
+        ),
+    )
 
 
 def write_fit_summary(path: str, fit: FitResult) -> None:
     """Write the one-row sidecar: model_kind,grand_mean,var_judge,var_error,converged."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model_kind", "grand_mean", "var_judge", "var_error", "converged"])
     var_judge = "" if math.isnan(fit.var_judge) else format_float(fit.var_judge)
-    writer.writerow(
+    write_csv(
+        path,
+        ["model_kind", "grand_mean", "var_judge", "var_error", "converged"],
         [
-            fit.model_kind,
-            format_float(fit.grand_mean),
-            var_judge,
-            format_float(fit.var_error),
-            "true" if fit.converged else "false",
-        ]
+            [
+                fit.model_kind,
+                format_float(fit.grand_mean),
+                var_judge,
+                format_float(fit.var_error),
+                "true" if fit.converged else "false",
+            ]
+        ],
     )
-    atomic_write_text(path, buffer.getvalue())

@@ -15,18 +15,17 @@ perturbs the streams of existing kinds.
 
 from __future__ import annotations
 
-import csv
-import io
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import t as student_t
 
-from ._util import FileFormatError, atomic_write_text, format_float, parse_bool, parse_float, parse_int
+from ._util import FileFormatError, format_float, parse_bool, parse_float, parse_int, read_csv, write_csv
 from .design import DesignConfig, is_connected
 from .generate import GeneratorKind, NB1InfeasibleBudget, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
@@ -60,6 +59,12 @@ _SCORE_ROLE = 0
 _DESIGN_ROLE = 1
 
 
+def _canonical(kinds: Iterable[GeneratorKind | str]) -> tuple[GeneratorKind, ...]:
+    """Distinct design kinds in report order: nb1, nb2, random."""
+    wanted = {GeneratorKind(kind) for kind in kinds}
+    return tuple(kind for kind in _KIND_ORDER if kind in wanted)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Study configuration; defaults give the 200-poster benchmark setting."""
@@ -80,7 +85,7 @@ class SimParams:
         kinds = tuple(GeneratorKind(kind) for kind in self.designs)
         if not kinds or len(set(kinds)) != len(kinds):
             raise ValueError("designs must be a non-empty collection of distinct kinds")
-        object.__setattr__(self, "designs", tuple(sorted(kinds, key=_KIND_ORDER.index)))
+        object.__setattr__(self, "designs", _canonical(kinds))
         if not 1 <= self.awards <= self.t:
             raise ValueError(f"awards must be in [1, t], got {self.awards}")
         for name in ("sd_poster", "sd_judge", "sd_error"):
@@ -308,32 +313,18 @@ def _metric_summary(values: Sequence[float]) -> MetricSummary:
 def _difference_summary(
     first: GeneratorKind, second: GeneratorKind, metric: str, diffs: np.ndarray
 ) -> DifferenceSummary:
-    nan = float("nan")
-    if diffs.size == 0:
-        return DifferenceSummary(first, second, metric, 0, nan, nan, nan, nan, nan, nan, nan, nan, nan)
-    mean = float(diffs.mean())
-    if diffs.size > 1:
-        sd = float(diffs.std(ddof=1))
-        half = float(student_t.ppf(0.975, diffs.size - 1)) * sd / math.sqrt(diffs.size)
-        ci_low, ci_high = mean - half, mean + half
-    else:
-        sd = nan
-        ci_low = ci_high = nan
-    q025, q500, q975 = np.quantile(diffs, [0.025, 0.5, 0.975])
+    """The metric summary of paired differences plus a paired-t 95% interval on their mean."""
+    summary = _metric_summary(diffs)
+    half = math.nan
+    if summary.n > 1:
+        half = float(student_t.ppf(0.975, summary.n - 1)) * summary.sd / math.sqrt(summary.n)
     return DifferenceSummary(
-        first=first,
-        second=second,
-        metric=metric,
-        n=int(diffs.size),
-        mean=mean,
-        sd=sd,
-        minimum=float(diffs.min()),
-        maximum=float(diffs.max()),
-        q025=float(q025),
-        q500=float(q500),
-        q975=float(q975),
-        ci_low=ci_low,
-        ci_high=ci_high,
+        first,
+        second,
+        metric,
+        **dataclasses.asdict(summary),
+        ci_low=summary.mean - half,
+        ci_high=summary.mean + half,
     )
 
 
@@ -350,38 +341,55 @@ def _paired_diffs(
     )
 
 
-def aggregate_results(results: Sequence[IterationResult], designs: Sequence[GeneratorKind]) -> dict:
-    """Reduce per-iteration metrics into the report's summary mappings.
+def _series(
+    results: Sequence[IterationResult], designs: Sequence[GeneratorKind]
+) -> Iterator[tuple[tuple[GeneratorKind, ...], str, np.ndarray]]:
+    """Every (kinds, metric, values) series a report summarizes, in report order.
 
-    A kind's failure count is the number of iterations lacking a metrics
-    entry for it, which covers both failures recorded by run_iteration
-    and rows absent from a re-read metrics file.
+    First one series per design kind and metric, holding that kind's
+    values in iteration order; then one per pair of kinds in canonical
+    order and metric, holding the paired within-iteration differences,
+    first minus second.
     """
     ordered = sorted(results, key=lambda result: result.iteration)
-    kinds = tuple(GeneratorKind(kind) for kind in designs)
-    design_summary: dict[tuple[GeneratorKind, str], MetricSummary] = {}
+    kinds = _canonical(designs)
     for kind in kinds:
         for metric in METRICS:
             values = [r.metrics[kind].value(metric) for r in ordered if kind in r.metrics]
-            design_summary[(kind, metric)] = _metric_summary(values)
-    difference_summary: dict[tuple[GeneratorKind, GeneratorKind, str], DifferenceSummary] = {}
+            yield (kind,), metric, np.array(values, dtype=np.float64)
     for position, first in enumerate(kinds):
         for second in kinds[position + 1 :]:
             for metric in METRICS:
-                diffs = _paired_diffs(ordered, first, second, metric)
-                difference_summary[(first, second, metric)] = _difference_summary(
-                    first, second, metric, diffs
-                )
-    disconnected_counts = {
-        kind: sum(1 for r in ordered if kind in r.metrics and r.metrics[kind].disconnected)
-        for kind in kinds
-    }
-    failure_counts = {kind: sum(1 for r in ordered if kind not in r.metrics) for kind in kinds}
+                yield (first, second), metric, _paired_diffs(ordered, first, second, metric)
+
+
+def aggregate_results(results: Sequence[IterationResult], designs: Sequence[GeneratorKind]) -> dict:
+    """Reduce per-iteration metrics into the report's summary mappings.
+
+    Returns the keyword arguments of write_summary (and the summary
+    fields of SimStudyReport), every mapping in report order: kinds in
+    canonical order whatever the order of designs, pairs as (first,
+    second) in that order.  A kind's failure count is the number of
+    iterations lacking a metrics entry for it, which covers both
+    failures recorded by run_iteration and rows absent from a re-read
+    metrics file.
+    """
+    design_summary: dict[tuple[GeneratorKind, str], MetricSummary] = {}
+    difference_summary: dict[tuple[GeneratorKind, GeneratorKind, str], DifferenceSummary] = {}
+    for kinds, metric, values in _series(results, designs):
+        if len(kinds) == 1:
+            design_summary[(kinds[0], metric)] = _metric_summary(values)
+        else:
+            difference_summary[(*kinds, metric)] = _difference_summary(*kinds, metric, values)
+    kinds = _canonical(designs)
     return {
         "design_summary": design_summary,
         "difference_summary": difference_summary,
-        "disconnected_counts": disconnected_counts,
-        "failure_counts": failure_counts,
+        "disconnected_counts": {
+            kind: sum(1 for r in results if kind in r.metrics and r.metrics[kind].disconnected)
+            for kind in kinds
+        },
+        "failure_counts": {kind: sum(1 for r in results if kind not in r.metrics) for kind in kinds},
     }
 
 
@@ -415,16 +423,14 @@ _METRICS_HEADER = [
 
 def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
     """One CSV row per (iteration, design) with that design's metrics."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_METRICS_HEADER)
-    for result in sorted(results, key=lambda item: item.iteration):
-        for kind in _KIND_ORDER:
-            if kind not in result.metrics:
-                continue
-            entry = result.metrics[kind]
-            writer.writerow(
-                [
+
+    def rows() -> Iterator[list]:
+        for result in sorted(results, key=lambda item: item.iteration):
+            for kind in _KIND_ORDER:
+                if kind not in result.metrics:
+                    continue
+                entry = result.metrics[kind]
+                yield [
                     result.iteration,
                     kind.value,
                     format_float(entry.win_prop),
@@ -433,8 +439,8 @@ def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
                     format_float(entry.mean_se),
                     "true" if entry.disconnected else "false",
                 ]
-            )
-    atomic_write_text(path, buffer.getvalue())
+
+    write_csv(path, _METRICS_HEADER, rows())
 
 
 def read_metrics(path: str) -> list[IterationResult]:
@@ -443,16 +449,9 @@ def read_metrics(path: str) -> list[IterationResult]:
     Failure lists cannot be recovered from the file; kinds simply appear
     with no row, which aggregate_results counts as failures.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise FileFormatError(path, None, "empty file")
-    if rows[0] != _METRICS_HEADER:
-        raise FileFormatError(path, 1, f"header must be {','.join(_METRICS_HEADER)}")
+    _, rows = read_csv(path, _METRICS_HEADER)
     collected: dict[int, dict[GeneratorKind, DesignMetrics]] = {}
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != len(_METRICS_HEADER):
-            raise FileFormatError(path, number, f"expected {len(_METRICS_HEADER)} columns, got {len(row)}")
+    for number, row in rows:
         iteration = parse_int(row[0], path, number, "iteration")
         if iteration < 0:
             raise FileFormatError(path, number, f"iteration must be >= 0, got {iteration}")
@@ -481,8 +480,7 @@ def read_metrics(path: str) -> list[IterationResult]:
 
 def present_kinds(results: Sequence[IterationResult]) -> tuple[GeneratorKind, ...]:
     """Design kinds appearing in any result, in canonical order."""
-    seen = {kind for result in results for kind in result.metrics}
-    return tuple(kind for kind in _KIND_ORDER if kind in seen)
+    return _canonical({kind for result in results for kind in result.metrics})
 
 
 _SUMMARY_HEADER = [
@@ -502,8 +500,15 @@ _SUMMARY_HEADER = [
 ]
 
 
+_SUMMARY_CELLS = ("mean", "sd", "minimum", "maximum", "q025", "q500", "q975", "ci_low", "ci_high")
+
+
 def _cell(value: float) -> str:
     return "" if math.isnan(value) else format_float(value)
+
+
+def _name(kinds: Sequence[GeneratorKind]) -> str:
+    return "-".join(kind.value for kind in kinds)
 
 
 def write_summary(
@@ -513,62 +518,23 @@ def write_summary(
     disconnected_counts: Mapping[GeneratorKind, int],
     failure_counts: Mapping[GeneratorKind, int],
 ) -> None:
-    """Write the quantile/CI summary CSV: design rows, difference rows, counts."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SUMMARY_HEADER)
-    for kind in _KIND_ORDER:
-        for metric in METRICS:
-            summary = design_summary.get((kind, metric))
-            if summary is None:
-                continue
-            writer.writerow(
-                [
-                    "design",
-                    kind.value,
-                    metric,
-                    summary.n,
-                    _cell(summary.mean),
-                    _cell(summary.sd),
-                    _cell(summary.minimum),
-                    _cell(summary.maximum),
-                    _cell(summary.q025),
-                    _cell(summary.q500),
-                    _cell(summary.q975),
-                    "",
-                    "",
-                ]
-            )
-    for position, first in enumerate(_KIND_ORDER):
-        for second in _KIND_ORDER[position + 1 :]:
-            for metric in METRICS:
-                summary = difference_summary.get((first, second, metric))
-                if summary is None:
-                    continue
-                writer.writerow(
-                    [
-                        "difference",
-                        f"{first.value}-{second.value}",
-                        metric,
-                        summary.n,
-                        _cell(summary.mean),
-                        _cell(summary.sd),
-                        _cell(summary.minimum),
-                        _cell(summary.maximum),
-                        _cell(summary.q025),
-                        _cell(summary.q500),
-                        _cell(summary.q975),
-                        _cell(summary.ci_low),
-                        _cell(summary.ci_high),
-                    ]
-                )
-    for kind in _KIND_ORDER:
-        if kind in disconnected_counts:
-            writer.writerow(["count", kind.value, "disconnected", disconnected_counts[kind]] + [""] * 9)
-    for kind in _KIND_ORDER:
-        if kind in failure_counts:
-            writer.writerow(["count", kind.value, "failed", failure_counts[kind]] + [""] * 9)
-    atomic_write_text(path, buffer.getvalue())
+    """Write the quantile/CI summary CSV: design rows, difference rows, counts.
+
+    Each mapping is written in its own iteration order, as
+    aggregate_results returns them; design rows leave the interval cells
+    empty, and so does any NaN statistic.
+    """
+
+    def rows() -> Iterator[list]:
+        for section, mapping in (("design", design_summary), ("difference", difference_summary)):
+            for (*kinds, metric), summary in mapping.items():
+                cells = [_cell(getattr(summary, name, math.nan)) for name in _SUMMARY_CELLS]
+                yield [section, _name(kinds), metric, summary.n, *cells]
+        for label, counts in (("disconnected", disconnected_counts), ("failed", failure_counts)):
+            for kind, count in counts.items():
+                yield ["count", kind.value, label, count] + [""] * len(_SUMMARY_CELLS)
+
+    write_csv(path, _SUMMARY_HEADER, rows())
 
 
 _HISTOGRAM_HEADER = ["section", "name", "metric", "bin_left", "bin_right", "count"]
@@ -577,44 +543,28 @@ _HISTOGRAM_HEADER = ["section", "name", "metric", "bin_left", "bin_right", "coun
 def write_histogram(
     path: str, results: Sequence[IterationResult], designs: Sequence[GeneratorKind], bins: int
 ) -> None:
-    """Write per-design and per-pair histogram bin counts for every metric."""
+    """Write per-design and per-pair histogram bin counts for every metric.
+
+    The series are those aggregate_results summarizes, in the same
+    order; a series with no values has no rows.
+    """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    ordered = sorted(results, key=lambda result: result.iteration)
-    kinds = tuple(GeneratorKind(kind) for kind in designs)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_HISTOGRAM_HEADER)
 
-    def emit(section: str, name: str, metric: str, values: np.ndarray) -> None:
-        if values.size == 0:
-            return
-        counts, edges = np.histogram(values, bins=bins)
-        for index in range(counts.size):
-            writer.writerow(
-                [
+    def rows() -> Iterator[list]:
+        for kinds, metric, values in _series(results, designs):
+            if values.size == 0:
+                continue
+            section = "design" if len(kinds) == 1 else "difference"
+            counts, edges = np.histogram(values, bins=bins)
+            for index in range(counts.size):
+                yield [
                     section,
-                    name,
+                    _name(kinds),
                     metric,
                     format_float(edges[index]),
                     format_float(edges[index + 1]),
                     int(counts[index]),
                 ]
-            )
 
-    for kind in kinds:
-        for metric in METRICS:
-            values = np.array(
-                [r.metrics[kind].value(metric) for r in ordered if kind in r.metrics], dtype=np.float64
-            )
-            emit("design", kind.value, metric, values)
-    for position, first in enumerate(kinds):
-        for second in kinds[position + 1 :]:
-            for metric in METRICS:
-                emit(
-                    "difference",
-                    f"{first.value}-{second.value}",
-                    metric,
-                    _paired_diffs(ordered, first, second, metric),
-                )
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(path, _HISTOGRAM_HEADER, rows())

@@ -251,39 +251,47 @@ def test_design_csv_byte_stability(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+HEAD = "judge_index,faculty,poster_1,poster_2\n"
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content,fragment,row",
     [
-        "",
-        "judge,faculty,poster_1,poster_2\n0,true,0,1\n",
-        "judge_index,faculty,p1,p2\n0,true,0,1\n",
-        "judge_index,faculty,poster_1,poster_2\n",
-        "judge_index,faculty,poster_1,poster_2\n0,true,0\n",
-        "judge_index,faculty,poster_1,poster_2\nx,true,0,1\n",
-        "judge_index,faculty,poster_1,poster_2\n1,true,0,1\n",
-        "judge_index,faculty,poster_1,poster_2\n0,true,0,1\n0,true,1,2\n",
-        "judge_index,faculty,poster_1,poster_2\n0,true,1,1\n",
-        "judge_index,faculty,poster_1,poster_2\n0,maybe,0,1\n",
-        "judge_index,faculty,poster_1,poster_2\n0,false,0,1\n1,true,1,2\n",
+        ("", "empty file", None),
+        ("judge,faculty,poster_1,poster_2\n0,true,0,1\n", "header must start with", 1),
+        ("judge_index,faculty,p1,p2\n0,true,0,1\n", "poster columns must be named", 1),
+        ("judge,faculty,poster_1,poster_2\n0,true,0\n", "header must start with", 1),
+        (HEAD, "no blocks", None),
+        (HEAD + "0,true,0\n", "expected 4 columns, got 3", 2),
+        (HEAD + "x,true,0,1\n", "judge_index", 2),
+        (HEAD + "1,true,0,1\n", "out of order", 2),
+        (HEAD + "0,true,0,1\n0,true,1,2\n", "duplicate judge_index 0", 3),
+        (HEAD + "0,true,1,1\n", "duplicate poster", 2),
+        (HEAD + "0,maybe,0,1\n", "faculty", 2),
+        (HEAD + "0,false,0,1\n1,true,1,2\n", "leading run", 3),
     ],
 )
-def test_read_design_rejects_malformed_files(tmp_path, content):
+def test_read_design_rejects_malformed_files(tmp_path, content, fragment, row):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError) as excinfo:
         read_design(str(path))
+    assert fragment in str(excinfo.value)
+    assert excinfo.value.row == row
 
 
 def test_read_design_rejects_out_of_range_poster(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,5\n")
-    with pytest.raises(FileFormatError):
+    path.write_text(HEAD + "0,true,0,5\n")
+    with pytest.raises(FileFormatError) as excinfo:
         read_design(str(path), t=3)
+    assert "poster id 5 outside [0, 3)" in str(excinfo.value)
+    assert excinfo.value.row == 2
 
 
 def test_file_format_error_names_row(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n1,true,1,x\n")
+    path.write_text(HEAD + "0,true,0,1\n1,true,1,x\n")
     with pytest.raises(FileFormatError) as excinfo:
         read_design(str(path))
     assert "row 3" in str(excinfo.value)

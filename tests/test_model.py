@@ -1,5 +1,6 @@
 """Model fits checked against dense textbook solutions built from scratch."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -334,6 +335,37 @@ def test_no_residual_degrees_of_freedom_is_singular():
         fit_random(design, table)
 
 
+def dense_poster_matrix(design, shrink):
+    """D - shrink * N N' over all t posters, N the poster-by-judge incidence."""
+    incidence = np.zeros((design.t, design.b))
+    for block in design.blocks:
+        incidence[list(block.poster_ids), block.judge_index] = 1.0
+    return np.diag(incidence.sum(axis=1)) - shrink * incidence @ incidence.T
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_condition_number_is_that_of_the_dense_poster_matrix(seed):
+    design, table = sample_table(seed)
+    assert design.replication.min() >= 1
+    k, p = design.k, design.t
+    fixed = fit_fixed(design, table)
+    expected = np.linalg.cond(dense_poster_matrix(design, 1.0 / k) + 1.0 / p)
+    assert fixed.condition_number == pytest.approx(expected, rel=1e-8)
+    random_fit = fit_random(design, table)
+    theta = random_fit.var_judge / random_fit.var_error
+    expected = np.linalg.cond(dense_poster_matrix(design, theta / (1.0 + k * theta)))
+    assert random_fit.condition_number == pytest.approx(expected, rel=1e-8)
+
+
+def test_ill_conditioned_poster_matrix_is_singular(monkeypatch):
+    design, table = sample_table(2)
+    assert min(fit_fixed(design, table).condition_number, fit_random(design, table).condition_number) > 1.0
+    monkeypatch.setattr("nbibd.model._COND_LIMIT", 1.0)
+    for fitter in (fit_fixed, fit_random):
+        with pytest.raises(SingularFit, match="ill-conditioned"):
+            fitter(design, table)
+
+
 def test_dimension_mismatch_is_rejected():
     design, _ = sample_table(0)
     other = ScoreTable(np.array([0]), np.array([0]), np.array([1.0]), t=3, b=2)
@@ -403,24 +435,25 @@ def test_scores_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content,fragment",
+    "content,fragment,row",
     [
-        ("", "empty file"),
-        ("judge,poster,score\n0,0,1.0\n", "header"),
-        ("judge_index,poster_id,score\n0,0\n", "expected 3 columns"),
-        ("judge_index,poster_id,score\n0,0,high\n", "score"),
-        ("judge_index,poster_id,score\nnope,0,1.0\n", "judge_index"),
-        ("judge_index,poster_id,score\n", "no observations"),
-        ("judge_index,poster_id,score\n0,0,1.0\n0,0,2.0\n", "duplicate"),
-        ("judge_index,poster_id,score\n0,9,1.0\n", "poster id outside"),
+        ("", "empty file", None),
+        ("judge,poster,score\n0,0,1.0\n", "header must be judge_index,poster_id,score", 1),
+        ("judge_index,poster_id,score\n0,0\n", "expected 3 columns, got 2", 2),
+        ("judge_index,poster_id,score\n0,0,high\n", "score", 2),
+        ("judge_index,poster_id,score\nnope,0,1.0\n", "judge_index", 2),
+        ("judge_index,poster_id,score\n", "no observations", None),
+        ("judge_index,poster_id,score\n0,0,1.0\n0,0,2.0\n", "duplicate", None),
+        ("judge_index,poster_id,score\n0,9,1.0\n", "poster id outside", None),
     ],
 )
-def test_malformed_scores_csv(tmp_path, content, fragment):
+def test_malformed_scores_csv(tmp_path, content, fragment, row):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(FileFormatError) as excinfo:
         read_scores(str(path), t=4, b=2)
     assert fragment in str(excinfo.value)
+    assert excinfo.value.row == row
 
 
 def test_fit_csv_has_one_row_per_poster(tmp_path):
@@ -460,3 +493,27 @@ def test_fit_summary_csv_round_trip(tmp_path):
     assert cells[0] == "random"
     assert float(cells[2]) == pytest.approx(fit.var_judge)
     assert float(cells[3]) == pytest.approx(fit.var_error)
+
+
+# sha256 of each file written below, recorded before the writers shared
+# one CSV codec; poster 17 is left unreviewed so the fit files carry an
+# empty row
+FIT_GOLDEN = {
+    "scores.csv": "063ecbcf869c4d588c22b530d8cc89b77c4d439f81252f1bcd1791ef4e037c00",
+    "fixed.csv": "847d5811e886f1a90a74576c56a353220a69aca801096e005dc84c6891b6e897",
+    "fixed.summary.csv": "d290e9c1960147719e041a79abd3030142fd84d52a1c626d413777650656f256",
+    "random.csv": "85cc05c5851d9307ab30ab02463e0e4e2eaeb21917afce4a5ff64f7ae167b55f",
+    "random.summary.csv": "8e053c43751dc0e55947cc717491964de8171ec1c78e9cf1f9410a5b3fddaa3c",
+}
+
+
+def test_fit_files_keep_their_bytes(tmp_path):
+    design, full = sample_table(5)
+    keep = full.posters != 17
+    table = ScoreTable(full.judges[keep], full.posters[keep], full.scores[keep], t=full.t, b=full.b)
+    write_scores(str(tmp_path / "scores.csv"), table)
+    for name, fit in (("fixed", fit_fixed(design, table)), ("random", fit_random(design, table))):
+        write_fit(str(tmp_path / f"{name}.csv"), fit)
+        write_fit_summary(str(tmp_path / f"{name}.summary.csv"), fit)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIT_GOLDEN}
+    assert digests == FIT_GOLDEN

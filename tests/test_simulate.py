@@ -1,5 +1,6 @@
 """Study harness: score synthesis, per-iteration metrics, aggregation, CSV."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -200,6 +201,24 @@ def test_aggregation_counts_missing_kinds_as_failures():
     assert present_kinds(results) == (NB1, RANDOM)
 
 
+def test_kinds_given_out_of_order_keep_every_report_row(tmp_path):
+    results = tuple(
+        IterationResult(i, {NB1: metrics_row(win=0.1 * i), RANDOM: metrics_row(win=0.3, se=1.0 + i)})
+        for i in range(3)
+    )
+    aggregates = aggregate_results(results, (RANDOM, NB1))
+    assert list(aggregates["difference_summary"]) == [(NB1, RANDOM, metric) for metric in METRICS]
+    path = tmp_path / "summary.csv"
+    write_summary(str(path), **aggregates)
+    lines = path.read_text().splitlines()
+    # header, 2 kinds x 4 metrics, 1 pair x 4 metrics, 2 x 2 counts
+    assert len(lines) == 17
+    assert [line.split(",")[1] for line in lines[9:13]] == ["nb1-random"] * 4
+    write_histogram(str(path), results, (RANDOM, NB1), bins=2)
+    names = {line.split(",")[1] for line in path.read_text().splitlines()[1:]}
+    assert names == {"nb1", "random", "nb1-random"}
+
+
 def test_metric_value_lookup_rejects_unknown_names():
     entry = metrics_row()
     assert entry.value("mean_se") == 3.0
@@ -227,25 +246,26 @@ HEADER = "iteration,design,win_prop,median_rank_dev,mean_score_dev,mean_se,disco
 
 
 @pytest.mark.parametrize(
-    "content,fragment",
+    "content,fragment,row",
     [
-        ("", "empty file"),
-        ("iteration,design,win\n", "header"),
-        (HEADER + "\n", "no metric rows"),
-        (HEADER + "\n0,nb1,0.5,1,2\n", "expected 7 columns"),
-        (HEADER + "\n0,balanced,0.5,1,2,3,false\n", "unknown design kind"),
-        (HEADER + "\n-1,nb1,0.5,1,2,3,false\n", "iteration must be >= 0"),
-        (HEADER + "\n0,nb1,high,1,2,3,false\n", "win_prop"),
-        (HEADER + "\n0,nb1,0.5,1,2,3,maybe\n", "disconnected"),
-        (HEADER + "\n0,nb1,0.5,1,2,3,false\n0,nb1,0.6,1,2,3,false\n", "duplicate row"),
+        ("", "empty file", None),
+        ("iteration,design,win\n", "header must be " + HEADER, 1),
+        (HEADER + "\n", "no metric rows", None),
+        (HEADER + "\n0,nb1,0.5,1,2\n", "expected 7 columns, got 5", 2),
+        (HEADER + "\n0,balanced,0.5,1,2,3,false\n", "unknown design kind", 2),
+        (HEADER + "\n-1,nb1,0.5,1,2,3,false\n", "iteration must be >= 0", 2),
+        (HEADER + "\n0,nb1,high,1,2,3,false\n", "win_prop", 2),
+        (HEADER + "\n0,nb1,0.5,1,2,3,maybe\n", "disconnected", 2),
+        (HEADER + "\n0,nb1,0.5,1,2,3,false\n0,nb1,0.6,1,2,3,false\n", "duplicate row", 3),
     ],
 )
-def test_malformed_metrics_csv(tmp_path, content, fragment):
+def test_malformed_metrics_csv(tmp_path, content, fragment, row):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(FileFormatError) as excinfo:
         read_metrics(str(path))
     assert fragment in str(excinfo.value)
+    assert excinfo.value.row == row
 
 
 def test_summary_csv_layout(tmp_path):
@@ -302,6 +322,32 @@ def test_histogram_csv_bins_partition_the_results(tmp_path):
     assert set(totals.values()) == {5}
     with pytest.raises(ValueError):
         write_histogram(str(path), report.results, params.designs, bins=0)
+
+
+# sha256 of each study file at the shape below, recorded before the
+# writers shared one CSV codec; a change to any byte of these formats,
+# or to the summary arithmetic, shows up here
+STUDY_GOLDEN = {
+    "metrics.csv": "6646d63a4999458663dab8528b143148c4fc9ca23a4d0dfb1fe633029b42c120",
+    "summary.csv": "541cc4a9a097ff7433deba146863e820bc8783ea2fef4a2248203e511c47886f",
+    "hist.csv": "ba1c3e96672502adf6850efe628583a6ef8fcdc4623740f9f124e6cd56a1cc69",
+}
+
+
+def test_study_files_keep_their_bytes(tmp_path):
+    params = small_params(iterations=6, seed=3)
+    report = run_study(params, workers=1)
+    write_metrics(str(tmp_path / "metrics.csv"), report.results)
+    write_summary(
+        str(tmp_path / "summary.csv"),
+        report.design_summary,
+        report.difference_summary,
+        report.disconnected_counts,
+        report.failure_counts,
+    )
+    write_histogram(str(tmp_path / "hist.csv"), report.results, params.designs, bins=5)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in STUDY_GOLDEN}
+    assert digests == STUDY_GOLDEN
 
 
 def test_presets_pin_the_two_study_settings():
