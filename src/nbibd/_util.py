@@ -31,7 +31,9 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
 
     The file is written to a sibling temp file and renamed over path, so
     readers never observe a partial file: the rename is atomic on POSIX,
-    and a crash or a failing row leaves the original untouched.
+    and a crash or a failing row leaves the original untouched.  The
+    file gets the mode open() gives a new file, 0o666 less the umask, in
+    place of the temp file's owner-only 0o600.
     """
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".csv")
@@ -40,11 +42,19 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    # the process umask can only be read by setting it
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def read_csv(

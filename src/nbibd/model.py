@@ -14,9 +14,14 @@ likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
 The judge covariance never materializes as an n-by-n matrix: the
-weighted cross-products reduce to a handful of per-group-size matrices,
-so a fit, or a candidate theta, costs one Cholesky factorization of the
-poster system.
+weighted cross-products reduce to a handful of per-group-size matrices.
+The random fit's theta search then takes one of two paths.  When every
+present judge scored the same number of posters, as in every generated
+design and every fully scored session, one eigendecomposition of a
+judge-by-judge matrix prices each candidate theta in O(b) and yields
+the final estimates and standard errors without factoring the poster
+system.  Other tables, such as score files with missing cells, pay one
+Cholesky factorization of the poster system per candidate theta.
 """
 
 from __future__ import annotations
@@ -198,6 +203,7 @@ class _SizeGroup:
 
     size: int
     count: int
+    incidence: np.ndarray  # poster-by-judge 0/1 incidence of the group's judges
     cross: np.ndarray  # sum over judges of g g^T, where g is the 0/1 incidence column
     weighted: np.ndarray  # sum over judges of (judge score total) * g
     square: float  # sum over judges of (judge score total)^2
@@ -254,6 +260,7 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
             _SizeGroup(
                 size=size,
                 count=int(members.size),
+                incidence=incidence,
                 cross=incidence @ incidence.T,
                 weighted=incidence @ totals,
                 square=float(totals @ totals),
@@ -402,75 +409,146 @@ def _random_shrink(theta: float) -> Callable[[int], float]:
     return lambda size: theta / (1.0 + theta * size)
 
 
-def _solve_system(terms: _BlockTerms, theta: float) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Solve the GLS normal equations at a fixed theta.
+@dataclass(frozen=True)
+class _Solve:
+    """The GLS normal equations solved at one theta, by either path.
 
-    Returns (poster estimates on centered data, residual sum of squares
-    under H(theta)^-1 weighting, Cholesky factor of the poster
-    information matrix, log det H).
+    rss is the residual sum of squares under H(theta)^-1 weighting and
+    logdet_c the log determinant of the poster information matrix C.
+    solution() returns the poster estimates on centered data and the
+    diagonal of C^-1; only the winning theta of a search asks for them.
     """
+
+    theta: float
+    rss: float
+    logdet_c: float
+    solution: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
+def _solve_system(terms: _BlockTerms, theta: float) -> _Solve:
+    """The Cholesky path: factor C(theta) itself, for any judge sizes."""
     system, rhs, quadratic = _reduce(terms, _random_shrink(theta))
-    logdet_h = sum(group.count * math.log1p(theta * group.size) for group in terms.groups)
     beta, factor = _cholesky_solve(system, rhs)
-    rss = quadratic - float(rhs @ beta)
-    return beta, rss, factor, logdet_h
+    return _Solve(
+        theta,
+        quadratic - float(rhs @ beta),
+        2.0 * float(np.log(np.diag(factor)).sum()),
+        lambda: (beta, np.diag(cho_solve((factor, True), np.eye(terms.p)))),
+    )
 
 
-def _profile(
-    terms: _BlockTerms, solved: tuple[np.ndarray, float, np.ndarray, float]
-) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
+    """The spectral path, for tables where every present judge scored k posters.
+
+    Then C(theta) = D - s N N' with s = theta/(1 + k theta), D the
+    replication and N the poster-by-judge incidence.  One eigh of the
+    judge matrix k I - N' D^-1 N = V diag(mu) V' (mu >= 0) gives, with
+    g = theta/(1 + theta mu), m = D^-1 v the poster means and
+    delta = V'(T - N'm) the judge totals adjusted for them:
+
+        log det C = sum log D + sum log1p(theta mu) - b log1p(k theta)
+        rss       = rss(0) - g'delta^2
+        C^-1      = D^-1 + F diag(g) F',  F = D^-1 N V   (Woodbury)
+        estimates = m - F (g delta)
+
+    so a candidate theta costs O(b), and the winner's estimates and
+    diag(C^-1) need no factorization and no p-by-p inverse.
+    """
+    (group,) = terms.groups
+    k, b_r = group.size, group.count
+    scaled = group.incidence / terms.counts[:, None]
+    mu, basis = np.linalg.eigh(k * np.eye(b_r) - group.incidence.T @ scaled)
+    means = terms.v0 / terms.counts
+    delta = basis.T @ (terms.totals - group.incidence.T @ means)
+    # the null vectors are the indicators of connected sets of judges, on
+    # which the adjusted totals sum to zero: pin both at exactly zero
+    # where eigh leaves rounding noise, which theta would scale up
+    null = mu <= b_r * k * np.finfo(float).eps
+    mu[null] = 0.0
+    delta[null] = 0.0
+    delta_sq = delta * delta
+    rss_zero = terms.q0 - float(terms.v0 @ means)
+    log_counts = float(np.log(terms.counts).sum())
+
+    def solve(theta: float) -> _Solve:
+        gain = theta / (1.0 + theta * mu)
+
+        def solution() -> tuple[np.ndarray, np.ndarray]:
+            spread = scaled @ basis
+            return means - spread @ (gain * delta), 1.0 / terms.counts + (spread * spread) @ gain
+
+        return _Solve(
+            theta,
+            rss_zero - float(gain @ delta_sq),
+            log_counts + float(np.log1p(theta * mu).sum()) - b_r * math.log1p(k * theta),
+            solution,
+        )
+
+    return solve
+
+
+def _solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
+    """The spectral path when every present judge has one size, else Cholesky."""
+    if len(terms.groups) == 1:
+        return _spectral_solver(terms)
+    return lambda theta: _solve_system(terms, theta)
+
+
+def _profile(terms: _BlockTerms, solved: _Solve) -> tuple[float, float]:
     """Restricted -2 log likelihood profiled over the error variance.
 
-    Takes one _solve_system result and returns (criterion, poster
-    estimates on centered data, sigma2 at the REML divisor, Cholesky
-    factor of the poster information matrix).
+    Takes one solve and returns (criterion, sigma2 at the REML divisor).
     """
-    beta, rss, factor, logdet_h = solved
     dof = terms.n - terms.p
-    if rss <= 0.0 or not np.isfinite(rss):
+    if solved.rss <= 0.0 or not np.isfinite(solved.rss):
         raise SingularFit("residual sum of squares vanished; error variance is not estimable")
-    sigma2 = rss / dof
-    logdet_a = 2.0 * float(np.log(np.diag(factor)).sum())
-    criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + logdet_h + logdet_a
-    return float(criterion), beta, float(sigma2), factor
+    sigma2 = solved.rss / dof
+    logdet_h = sum(group.count * math.log1p(solved.theta * group.size) for group in terms.groups)
+    criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + logdet_h + solved.logdet_c
+    return float(criterion), float(sigma2)
 
 
 def reml_criterion(scores: ScoreTable, theta: float) -> float:
     """Profiled restricted log likelihood at the variance ratio theta.
 
-    This is the exact objective fit_random maximizes, exposed so
-    independent searches can compare candidate theta values.
+    This is the exact objective fit_random maximizes, evaluated on the
+    same path: spectral when every present judge scored the same number
+    of posters, Cholesky otherwise.  Exposed so independent searches can
+    compare candidate theta values.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    return -0.5 * _profile(terms, _solve_system(terms, theta))[0]
+    return -0.5 * _profile(terms, _solver(terms)(theta))[0]
 
 
 def _search_theta(
-    terms: _BlockTerms, at_zero: tuple[float, np.ndarray, float, np.ndarray]
-) -> tuple[float, bool, np.ndarray, float, np.ndarray]:
+    terms: _BlockTerms, solve: Callable[[float], _Solve], at_zero: _Solve
+) -> tuple[bool, float, _Solve]:
     """Bounded minimization of the profiled criterion over theta >= 0.
 
     The search runs in u = log1p(theta) with an absolute tolerance of
-    1e-12, far below the documented 1e-8 relative target on theta.
-    at_zero is the _profile of the boundary theta = 0, which wins ties.
-    Returns (theta, converged, estimates, sigma2, Cholesky factor); the
-    winner's solve is the one the search already made.
+    1e-12, far below the documented 1e-8 relative target on theta.  Each
+    candidate costs one solve: O(b) on the spectral path, one Cholesky
+    factorization of the poster system on the other.  at_zero is the
+    solve at the boundary theta = 0, which wins ties.  Returns
+    (converged, sigma2, winning solve); the winner is the solve the
+    search already made.
     """
-    best: tuple[float, float, np.ndarray, float, np.ndarray] | None = None
+    zero_criterion, zero_sigma2 = _profile(terms, at_zero)
+    best: tuple[float, float, _Solve] | None = None
 
     def objective(u: float) -> float:
         # keep the point bounded Brent reports: the latest evaluation
         # that ties or beats every earlier one
         nonlocal best
-        theta = float(np.expm1(u))
-        evaluation = (theta, *_profile(terms, _solve_system(terms, theta)))
-        if best is None or evaluation[1] <= best[1]:
-            best = evaluation
-        return evaluation[1]
+        solved = solve(float(np.expm1(u)))
+        criterion, sigma2 = _profile(terms, solved)
+        if best is None or criterion <= best[0]:
+            best = (criterion, sigma2, solved)
+        return criterion
 
     result = minimize_scalar(
         objective,
@@ -479,10 +557,11 @@ def _search_theta(
         options={"xatol": 1e-12},
     )
     interior = float(np.expm1(result.x))
-    if best is None or best[0] != interior:
-        best = (interior, *_profile(terms, _solve_system(terms, interior)))
-    theta, criterion, beta, sigma2, factor = (0.0, *at_zero) if at_zero[0] <= best[1] else best
-    return theta, bool(result.success), beta, sigma2, factor
+    if best is None or best[2].theta != interior:
+        solved = solve(interior)
+        best = (*_profile(terms, solved), solved)
+    _, sigma2, solved = (zero_criterion, zero_sigma2, at_zero) if zero_criterion <= best[0] else best
+    return bool(result.success), sigma2, solved
 
 
 def fit_random(design: Design, scores: ScoreTable) -> FitResult:
@@ -490,30 +569,37 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
 
     The restricted likelihood is profiled over theta = var_judge /
     var_error and maximized by a bounded one-dimensional search; theta =
-    0 is an admissible boundary estimate.  Standard errors are plug-in
-    GLS values at the estimated theta.  Works on disconnected designs:
-    the random judge effects tie the components together.  Posters
-    without observations receive NaN estimates and rank 0.
+    0 is an admissible boundary estimate.  When every present judge
+    scored the same number of posters (every generated design, every
+    fully scored session) the search and the final estimates come from
+    one eigendecomposition of the judge matrix; other tables, such as
+    score files with missing cells, factor the poster system at each
+    candidate theta.  Standard errors are plug-in GLS values at the
+    estimated theta.  Works on disconnected designs: the random judge
+    effects tie the components together.  Posters without observations
+    receive NaN estimates and rank 0.
     """
     _check_table(design, scores)
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    solved = _solve_system(terms, 0.0)
-    if solved[1] <= 1e-12 * terms.q0:
+    solve = _solver(terms)
+    solved = solve(0.0)
+    if solved.rss <= 1e-12 * terms.q0:
         # interpolating data (e.g. constant scores): both variance
         # components vanish and the ratio is fixed at the boundary
-        theta, converged, beta, sigma2, factor = 0.0, True, solved[0], 0.0, solved[2]
+        converged, sigma2 = True, 0.0
     else:
-        theta, converged, beta, sigma2, factor = _search_theta(terms, _profile(terms, solved))
+        converged, sigma2, solved = _search_theta(terms, solve, solved)
+    theta = solved.theta
     condition = _checked_condition(_reduce(terms, _random_shrink(theta))[0])
-    inverse = cho_solve((factor, True), np.eye(terms.p))
+    beta, inverse_diagonal = solved.solution()
     return _fit_result(
         "random",
         design.t,
         terms.reviewed,
         beta + terms.center,
-        sigma2 * np.diag(inverse),
+        sigma2 * inverse_diagonal,
         float(theta * sigma2),
         float(sigma2),
         converged,

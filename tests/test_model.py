@@ -2,9 +2,12 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nbibd import (
     DesignConfig,
@@ -24,6 +27,7 @@ from nbibd import (
     write_scores,
 )
 from nbibd.design import Block, Design
+from nbibd.model import _block_terms, _profile, _random_shrink, _reduce, _solve_system, _spectral_solver
 
 
 def sample_table(seed, t=18, k=4, b=12, kind="nb1", sd_judge=6.0):
@@ -248,6 +252,129 @@ def test_interpolating_scores_zero_both_variance_components():
     assert np.all(fit.se[np.isfinite(fit.se)] == 0.0)
     assert np.allclose(fit.pmm, 42.5)
     assert fit.converged
+
+
+def judge_absent_table(seed):
+    """Every cell of judge 1 removed: the other judges keep size k, so b_r < b."""
+    _, table = sample_table(seed, kind="nb2")
+    keep = table.judges != 1
+    return ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
+
+
+def spectral_vs_cholesky(table, theta):
+    """Relative gaps in criterion, estimates and diag(C^-1), and the gaps allowed.
+
+    Each gap is taken relative to the larger of 1 and the Cholesky
+    value's magnitude: estimates on centered data can be rounding noise
+    around zero, as when a single poster is reviewed.  Each is allowed
+    1e-10, or the rounding both paths share where that is larger.  A
+    solve with the p-by-p C(theta) loses up to p * eps times its
+    condition number, the textbook bound for a Cholesky solve, which
+    passes 1e-10 only as theta nears 1e6.  Both paths form the rss as a
+    difference of sums of n terms the size of y'y, so the criterion's
+    dof * log(rss) also loses up to dof * n * eps * y'y / rss, which is
+    large only when the scores nearly interpolate.
+    """
+    terms = _block_terms(table)
+    assert len(terms.groups) == 1
+    spectral, cholesky = _spectral_solver(terms)(theta), _solve_system(terms, theta)
+    pairs = [(_profile(terms, spectral)[0], _profile(terms, cholesky)[0])]
+    pairs += list(zip(spectral.solution(), cholesky.solution()))
+    gaps = [float(np.max(np.abs(ours - theirs)) / max(1.0, np.max(np.abs(theirs)))) for ours, theirs in pairs]
+    eps = np.finfo(float).eps
+    solve = max(1e-10, terms.p * eps * np.linalg.cond(_reduce(terms, _random_shrink(theta))[0]))
+    rss = (terms.n - terms.p) * terms.n * eps * terms.q0 / cholesky.rss / max(1.0, abs(pairs[0][1]))
+    return gaps, [max(solve, rss), solve, solve]
+
+
+@pytest.mark.parametrize("case", ["nb1", "nb2", "random", "judge absent"])
+def test_spectral_and_cholesky_solves_agree_at_a_fixed_ratio(case):
+    table = judge_absent_table(4) if case == "judge absent" else sample_table(4, kind=case)[1]
+    assert np.unique(table.judges).size == (table.b - 1 if case == "judge absent" else table.b)
+    for theta in (0.0, 0.1, 1.0, 1e6):
+        gaps, allowed = spectral_vs_cholesky(table, theta)
+        assert allowed == [1e-10] * 3 or theta == 1e6
+        assert all(gap <= limit for gap, limit in zip(gaps, allowed)), (theta, gaps, allowed)
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=(3, 1, 3), seed=4, theta=1.0)
+@given(
+    shape=st.integers(3, 12).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, min(t, 5)), st.integers(1, 12))),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 100.0),
+)
+def test_spectral_and_cholesky_solves_agree_on_random_shapes(shape, seed, theta):
+    t, k, b = shape
+    rng = np.random.default_rng(seed)
+    posters = np.concatenate([rng.choice(t, k, replace=False) for _ in range(b)])
+    table = ScoreTable(np.repeat(np.arange(b), k), posters, rng.normal(70.0, 8.0, b * k), t=t, b=b)
+    assume(table.n > np.unique(posters).size)
+    gaps, allowed = spectral_vs_cholesky(table, theta)
+    assert all(gap <= limit for gap, limit in zip(gaps, allowed)), (gaps, allowed)
+
+
+def exact_solve(matrix, columns):
+    """matrix^-1 @ columns by Gauss-Jordan elimination in rational arithmetic.
+
+    matrix is positive definite, so every pivot is positive in order.
+    """
+    n = len(matrix)
+    rows = [list(matrix[i]) + list(columns[i]) for i in range(n)]
+    for col in range(n):
+        rows[col] = [value / rows[col][col] for value in rows[col]]
+        for other in range(n):
+            factor = rows[other][col]
+            if other != col and factor:
+                rows[other] = [x - factor * y for x, y in zip(rows[other], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def test_spectral_solve_is_exact_at_the_upper_ratio_bound():
+    # at theta = 1e6, C is within 1/(1 + k theta) of singular, which costs
+    # the Cholesky path about six digits; the spectral path keeps them
+    _, table = sample_table(4)
+    terms = _block_terms(table)
+    (group,) = terms.groups
+    theta = 10**6
+    shrink = Fraction(theta, 1 + group.size * theta)
+    matrix = [
+        [int(i == j) * Fraction(terms.counts[i]) - shrink * Fraction(group.cross[i, j]) for j in range(terms.p)]
+        for i in range(terms.p)
+    ]
+    totals = [Fraction(total) for total in terms.totals]
+    columns = [
+        [Fraction(terms.v0[i]) - shrink * sum(total for total, hit in zip(totals, group.incidence[i]) if hit)]
+        + [Fraction(int(i == j)) for j in range(terms.p)]
+        for i in range(terms.p)
+    ]
+    solved = exact_solve(matrix, columns)
+    beta = np.array([float(row[0]) for row in solved])
+    diagonal = np.array([float(solved[i][1 + i]) for i in range(terms.p)])
+    estimates, inverse_diagonal = _spectral_solver(terms)(float(theta)).solution()
+    assert np.max(np.abs(estimates - beta)) <= 1e-10 * np.max(np.abs(beta))
+    assert np.max(np.abs(inverse_diagonal - diagonal)) <= 1e-10 * np.max(diagonal)
+
+
+def test_unequal_judge_sizes_take_the_cholesky_path(monkeypatch):
+    design, table = sample_table(6)
+    spectral_calls = []
+
+    def counted(terms):
+        spectral_calls.append(terms)
+        return _spectral_solver(terms)
+
+    monkeypatch.setattr("nbibd.model._spectral_solver", counted)
+    fit_random(design, table)
+    reml_criterion(table, 0.5)
+    assert len(spectral_calls) == 2
+    keep = np.arange(table.n) != 0
+    dropped = ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
+    assert np.unique(np.bincount(dropped.judges)).size == 2
+    fit = fit_random(design, dropped)
+    reml_criterion(dropped, 0.5)
+    assert len(spectral_calls) == 2
+    assert np.isfinite(fit.pmm).all()
 
 
 @pytest.mark.parametrize("fitter,tol", [(fit_fixed, 1e-9), (fit_random, 1e-6)])

@@ -324,13 +324,14 @@ def test_histogram_csv_bins_partition_the_results(tmp_path):
         write_histogram(str(path), report.results, params.designs, bins=0)
 
 
-# sha256 of each study file at the shape below, recorded before the
-# writers shared one CSV codec; a change to any byte of these formats,
-# or to the summary arithmetic, shows up here
+# sha256 of each study file at the shape below, recorded when fit_random
+# moved to the spectral theta search (its theta can differ from the
+# Cholesky search's in the last digits); a change to any byte of these
+# formats, or to the summary arithmetic, shows up here
 STUDY_GOLDEN = {
-    "metrics.csv": "6646d63a4999458663dab8528b143148c4fc9ca23a4d0dfb1fe633029b42c120",
-    "summary.csv": "541cc4a9a097ff7433deba146863e820bc8783ea2fef4a2248203e511c47886f",
-    "hist.csv": "ba1c3e96672502adf6850efe628583a6ef8fcdc4623740f9f124e6cd56a1cc69",
+    "metrics.csv": "1e7ad099dc0ac7503b7fe83f938cc024b23e24502ab558842eba6af41cc8f17c",
+    "summary.csv": "6792dc6f2e7bbd435e1bbf88bf00d4232b5f2ab425c2228f8027412714f09b85",
+    "hist.csv": "bd02aefe4f452ab68219884feafef56111cd59aca159c6f58ec0d3c457eaa410",
 }
 
 

@@ -1,0 +1,27 @@
+"""The shared CSV codec: file modes of what it writes."""
+
+import os
+import stat
+
+import numpy as np
+import pytest
+
+from nbibd import DesignConfig, ScoreTable, generate, write_design, write_metrics, write_scores
+from nbibd.simulate import DesignMetrics, IterationResult
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    design, _ = generate(DesignConfig(t=8, k=3, b=4, seed=0), "nb2")
+    table = ScoreTable.from_design_matrix(design, np.full((8, 4), 70.0))
+    metrics = DesignMetrics(win_prop=0.5, median_rank_dev=1.0, mean_score_dev=2.0, mean_se=3.0, disconnected=False)
+    result = IterationResult(iteration=0, metrics={"nb2": metrics})
+    previous = os.umask(umask)
+    try:
+        write_design(str(tmp_path / "design.csv"), design)
+        write_scores(str(tmp_path / "scores.csv"), table)
+        write_metrics(str(tmp_path / "metrics.csv"), [result])
+    finally:
+        os.umask(previous)
+    for name in ("design.csv", "scores.csv", "metrics.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
