@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.add_argument(
         "--seed",
         type=int,
-        default=0,
+        required=True,
         help="seed the design was generated with; the continuation stream derives from it",
     )
     ext.add_argument("--posters", type=int, default=None, help="poster count if the file leaves trailing ids unreviewed")
@@ -198,7 +198,8 @@ def _cmd_score(args: argparse.Namespace) -> None:
     print(
         f"command=score model={fit.model_kind} grand_mean={format_float(fit.grand_mean)} "
         f"var_judge={var_judge} var_error={format_float(fit.var_error)} "
-        f"converged={_flag(fit.converged)} out={args.out} summary={summary_path}"
+        f"converged={_flag(fit.converged)} condition={format_float(fit.condition_number)} "
+        f"out={args.out} summary={summary_path}"
     )
 
 

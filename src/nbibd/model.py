@@ -13,15 +13,12 @@ N(0, var_judge); the variance components come from restricted maximum
 likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
-The judge covariance never materializes as an n-by-n matrix: the
-weighted cross-products reduce to a handful of per-group-size matrices.
-The random fit's theta search then takes one of two paths.  When every
-present judge scored the same number of posters, as in every generated
-design and every fully scored session, one eigendecomposition of a
-judge-by-judge matrix prices each candidate theta in O(b) and yields
-the final estimates and standard errors without factoring the poster
-system.  Other tables, such as score files with missing cells, pay one
-Cholesky factorization of the poster system per candidate theta.
+Neither the n-by-n judge covariance nor a factorization of the poster
+system is ever formed.  One eigendecomposition of a judge-by-judge
+matrix serves every score table, whatever its judge sizes, and both
+fits: it prices each candidate theta of the search in O(b), and yields
+the estimates and standard errors at the winning theta, or at theta =
+infinity for the fixed fit.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
 
 from ._util import FileFormatError, format_float, parse_float, parse_int, read_csv, write_csv
@@ -154,9 +150,10 @@ class FitResult:
     length-t with 1 = best and 0 marking unranked (unreviewed) posters.
     var_judge is NaN for the fixed model, whose judge effects are not
     variance components.  condition_number is the 2-norm condition
-    number of the poster information matrix of the final solve (for the
-    fixed model, with J/p added to remove its null vector); either fit
-    raises SingularFit when it exceeds 1e12.
+    number of the poster information matrix at the estimated theta (for
+    the fixed model, at theta = infinity with J/p added to remove its
+    null vector); either fit raises SingularFit when it exceeds 1e12.
+    Both fits take their estimates from the same judge spectrum.
     """
 
     model_kind: str
@@ -198,34 +195,20 @@ def _check_table(design: Design, scores: ScoreTable) -> None:
 
 
 @dataclass
-class _SizeGroup:
-    """Sufficient statistics for all judges sharing one block size."""
-
-    size: int
-    count: int
-    incidence: np.ndarray  # poster-by-judge 0/1 incidence of the group's judges
-    cross: np.ndarray  # sum over judges of g g^T, where g is the 0/1 incidence column
-    weighted: np.ndarray  # sum over judges of (judge score total) * g
-    square: float  # sum over judges of (judge score total)^2
-
-
-@dataclass
 class _BlockTerms:
     """Theta-free statistics both fits reduce to the poster system.
 
-    A fit weights each judge's block by a shrink factor: theta/(1 +
-    theta*s) for the random fit, whose judge block of H^-1 is I - shrink
-    * ones, and 1/s for the fixed fit, the theta -> infinity limit that
-    sweeps out every judge mean.  Either way every quantity is an affine
-    combination of statistics grouped by judge size s.  Scores are
-    centered at their mean; sizes and totals are per present judge.
+    Scores are centered at their mean.  incidence is the poster-by-judge
+    0/1 matrix N over reviewed posters and present judges, counts the
+    replication D and v0 each poster's score sum; sizes and totals are
+    each present judge's block size and score total.
     """
 
     reviewed: np.ndarray
     counts: np.ndarray
     v0: np.ndarray
     q0: float
-    groups: list[_SizeGroup]
+    incidence: np.ndarray
     sizes: np.ndarray
     totals: np.ndarray
     n: int
@@ -247,31 +230,14 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
     q0 = float(centered @ centered)
     sizes = np.bincount(judge_col, minlength=b_r)
     judge_totals = np.bincount(judge_col, weights=centered, minlength=b_r)
-
-    groups: list[_SizeGroup] = []
-    for size in sorted(set(int(s) for s in sizes)):
-        members = np.flatnonzero(sizes == size)
-        selector = np.isin(judge_col, members)
-        local_judge = np.searchsorted(members, judge_col[selector])
-        incidence = np.zeros((p, members.size))
-        incidence[poster_col[selector], local_judge] = 1.0
-        totals = judge_totals[members]
-        groups.append(
-            _SizeGroup(
-                size=size,
-                count=int(members.size),
-                incidence=incidence,
-                cross=incidence @ incidence.T,
-                weighted=incidence @ totals,
-                square=float(totals @ totals),
-            )
-        )
+    incidence = np.zeros((p, b_r))
+    incidence[poster_col, judge_col] = 1.0
     return _BlockTerms(
         reviewed=reviewed,
         counts=counts,
         v0=v0,
         q0=q0,
-        groups=groups,
+        incidence=incidence,
         sizes=sizes,
         totals=judge_totals,
         n=int(y.size),
@@ -280,27 +246,9 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
     )
 
 
-def _reduce(terms: _BlockTerms, shrink: Callable[[int], float]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Poster information matrix, right-hand side and weighted y'y at one shrink rule."""
-    system = np.diag(terms.counts)
-    rhs = terms.v0.copy()
-    quadratic = terms.q0
-    for group in terms.groups:
-        weight = shrink(group.size)
-        if weight != 0.0:
-            system -= weight * group.cross
-            rhs = rhs - weight * group.weighted
-            quadratic -= weight * group.square
-    return system, rhs, quadratic
-
-
-def _cholesky_solve(system: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the poster system; returns (solution, lower Cholesky factor)."""
-    try:
-        factor = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        raise SingularFit("singular poster information matrix") from None
-    return cho_solve((factor, True), rhs), factor
+def _poster_matrix(terms: _BlockTerms, shrink: np.ndarray) -> np.ndarray:
+    """The poster information matrix D - N diag(shrink) N' at per-judge shrinks."""
+    return np.diag(terms.counts) - (terms.incidence * shrink) @ terms.incidence.T
 
 
 def _checked_condition(system: np.ndarray) -> float:
@@ -353,19 +301,94 @@ def _posters_by_judge(scores: ScoreTable) -> list[list[int]]:
     return [group.tolist() for group in np.split(scores.posters[order], cuts)]
 
 
+@dataclass(frozen=True)
+class _Solve:
+    """The GLS normal equations solved at one theta.
+
+    rss is the residual sum of squares under H(theta)^-1 weighting and
+    logdet the sum of log det H and log det C, C the poster information
+    matrix.  solution() returns the poster estimates on centered data,
+    the diagonal of C^-1 and C^-1 as a function on vectors; only the
+    winning theta of a search asks for them.
+    """
+
+    theta: float
+    rss: float
+    logdet: float
+    solution: Callable[[], tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+
+
+def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
+    """Every theta's solve from one eigendecomposition of the judge matrix.
+
+    C(theta) = D - N S N' with S = diag(theta/(1 + theta k_j)), D the
+    replication, N the poster-by-judge incidence and k_j the judge
+    sizes.  One eigh of M = diag(k) - N' D^-1 N = V diag(mu) V'
+    (mu >= 0) gives, with g = theta/(1 + theta mu), m = D^-1 v the
+    poster means and delta = V'(T - N'm) the judge totals adjusted for
+    them:
+
+        log det C = sum log D + sum log1p(theta mu) - sum log1p(theta k_j)
+        rss       = rss(0) - g'delta^2
+        C^-1      = D^-1 + F diag(g) F',  F = D^-1 N V   (Woodbury)
+        estimates = m - F (g delta)
+
+    The last sum of log det C is log det H, which the REML criterion
+    adds back, so a solve reports log det H + log det C without either.
+    A candidate theta costs O(b), and the winner's estimates and
+    diag(C^-1) need no factorization and no p-by-p inverse.  theta = inf
+    is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
+    them, which makes C^-1 a generalized inverse of the singular C(inf).
+    """
+    scaled = terms.incidence / terms.counts[:, None]
+    mu, basis = np.linalg.eigh(np.diag(terms.sizes) - terms.incidence.T @ scaled)
+    means = terms.v0 / terms.counts
+    delta = basis.T @ (terms.totals - terms.incidence.T @ means)
+    # the null vectors are the indicators of connected sets of judges, on
+    # which the adjusted totals sum to zero: pin both at exactly zero
+    # where eigh leaves rounding noise, which theta would scale up
+    null = mu <= mu.size * terms.sizes.max() * np.finfo(float).eps
+    mu[null] = 0.0
+    delta[null] = 0.0
+    delta_sq = delta * delta
+    rss_zero = terms.q0 - float(terms.v0 @ means)
+    log_counts = float(np.log(terms.counts).sum())
+
+    def solve(theta: float) -> _Solve:
+        if math.isinf(theta):
+            gain = np.divide(1.0, mu, out=np.zeros_like(mu), where=~null)
+            logdet = math.inf
+        else:
+            gain = theta / (1.0 + theta * mu)
+            logdet = log_counts + float(np.log1p(theta * mu).sum())
+
+        def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+            spread = scaled @ basis
+            return (
+                means - spread @ (gain * delta),
+                1.0 / terms.counts + (spread * spread) @ gain,
+                lambda vector: vector / terms.counts + spread @ (gain * (spread.T @ vector)),
+            )
+
+        return _Solve(theta, rss_zero - float(gain @ delta_sq), logdet, solution)
+
+    return solve
+
+
 def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     """Intra-block least squares with posters and judges as fixed factors.
 
-    Yates's intra-block analysis on the statistics fit_random uses, with
-    every judge's shrink at 1/s: the poster system is C = D - sum g g'/k
-    with right-hand side Q = v - sum T g/k (g a judge's incidence column,
-    T its score total).  C has the null vector 1 on a connected design,
-    so J/p is added before the Cholesky solve; the solution sums to zero
-    and still solves C tau = Q.  The constant is then set so the judge
-    effects sum to zero, which makes the estimates mu + P_i, and the
-    standard errors come from the same contrast.  Needs a connected
-    observed co-review graph.  Posters without observations receive NaN
-    estimates and rank 0 rather than failing the whole fit.
+    Yates's intra-block analysis: the poster system C = D - sum g g'/k
+    with right-hand side Q = v - sum T g/k (g a judge's incidence
+    column, T its score total), which is the random fit's system in the
+    limit theta -> infinity.  The judge spectrum solves it at that
+    limit; C has the null vector 1 on a connected design, and the
+    spectral solution uses a generalized inverse G of C.  The constant
+    is then set so the judge effects sum to zero, which makes the
+    estimates mu + P_i, and the standard errors come from the same
+    contrast, on which every generalized inverse agrees.  Needs a
+    connected observed co-review graph.  Posters without observations
+    receive NaN estimates and rank 0 rather than failing the whole fit.
     """
     _check_table(design, scores)
     if not _prefix_connected_flags(scores.t, _posters_by_judge(scores))[-1]:
@@ -377,21 +400,19 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     dof = terms.n - terms.p - b_r + 1
     if dof < 1:
         raise SingularFit("no residual degrees of freedom for the error variance")
-    system, rhs, quadratic = _reduce(terms, lambda size: 1.0 / size)
-    system += 1.0 / terms.p
-    tau, factor = _cholesky_solve(system, rhs)
-    sigma2 = max(quadratic - float(rhs @ tau), 0.0) / dof
-    condition = _checked_condition(system)
-    inverse = cho_solve((factor, True), np.eye(terms.p))
+    inv_sizes = 1.0 / terms.sizes
+    condition = _checked_condition(_poster_matrix(terms, inv_sizes) + 1.0 / terms.p)
+    solved = _spectral_solver(terms)(math.inf)
+    tau, diagonal, inverse = solved.solution()
+    sigma2 = max(solved.rss, 0.0) / dof
 
     # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
     # over poster i's judges; its variance is sigma2 times the diagonal of
-    # (I - 1w'/b) G (I - w1'/b) + sum(1/k)/b^2, G the inverse above
-    inv_sizes = 1.0 / terms.sizes
-    w = sum(np.diag(group.cross) / group.size for group in terms.groups)
+    # (I - 1w'/b) G (I - w1'/b) + sum(1/k)/b^2
+    w = terms.incidence @ inv_sizes
     shift = (float(inv_sizes @ terms.totals) - float(w @ tau)) / b_r
-    gw = inverse @ w
-    variances = np.diag(inverse) - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2
+    gw = inverse(w)
+    variances = diagonal - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2
     return _fit_result(
         "fixed",
         design.t,
@@ -405,95 +426,6 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     )
 
 
-def _random_shrink(theta: float) -> Callable[[int], float]:
-    return lambda size: theta / (1.0 + theta * size)
-
-
-@dataclass(frozen=True)
-class _Solve:
-    """The GLS normal equations solved at one theta, by either path.
-
-    rss is the residual sum of squares under H(theta)^-1 weighting and
-    logdet_c the log determinant of the poster information matrix C.
-    solution() returns the poster estimates on centered data and the
-    diagonal of C^-1; only the winning theta of a search asks for them.
-    """
-
-    theta: float
-    rss: float
-    logdet_c: float
-    solution: Callable[[], tuple[np.ndarray, np.ndarray]]
-
-
-def _solve_system(terms: _BlockTerms, theta: float) -> _Solve:
-    """The Cholesky path: factor C(theta) itself, for any judge sizes."""
-    system, rhs, quadratic = _reduce(terms, _random_shrink(theta))
-    beta, factor = _cholesky_solve(system, rhs)
-    return _Solve(
-        theta,
-        quadratic - float(rhs @ beta),
-        2.0 * float(np.log(np.diag(factor)).sum()),
-        lambda: (beta, np.diag(cho_solve((factor, True), np.eye(terms.p)))),
-    )
-
-
-def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
-    """The spectral path, for tables where every present judge scored k posters.
-
-    Then C(theta) = D - s N N' with s = theta/(1 + k theta), D the
-    replication and N the poster-by-judge incidence.  One eigh of the
-    judge matrix k I - N' D^-1 N = V diag(mu) V' (mu >= 0) gives, with
-    g = theta/(1 + theta mu), m = D^-1 v the poster means and
-    delta = V'(T - N'm) the judge totals adjusted for them:
-
-        log det C = sum log D + sum log1p(theta mu) - b log1p(k theta)
-        rss       = rss(0) - g'delta^2
-        C^-1      = D^-1 + F diag(g) F',  F = D^-1 N V   (Woodbury)
-        estimates = m - F (g delta)
-
-    so a candidate theta costs O(b), and the winner's estimates and
-    diag(C^-1) need no factorization and no p-by-p inverse.
-    """
-    (group,) = terms.groups
-    k, b_r = group.size, group.count
-    scaled = group.incidence / terms.counts[:, None]
-    mu, basis = np.linalg.eigh(k * np.eye(b_r) - group.incidence.T @ scaled)
-    means = terms.v0 / terms.counts
-    delta = basis.T @ (terms.totals - group.incidence.T @ means)
-    # the null vectors are the indicators of connected sets of judges, on
-    # which the adjusted totals sum to zero: pin both at exactly zero
-    # where eigh leaves rounding noise, which theta would scale up
-    null = mu <= b_r * k * np.finfo(float).eps
-    mu[null] = 0.0
-    delta[null] = 0.0
-    delta_sq = delta * delta
-    rss_zero = terms.q0 - float(terms.v0 @ means)
-    log_counts = float(np.log(terms.counts).sum())
-
-    def solve(theta: float) -> _Solve:
-        gain = theta / (1.0 + theta * mu)
-
-        def solution() -> tuple[np.ndarray, np.ndarray]:
-            spread = scaled @ basis
-            return means - spread @ (gain * delta), 1.0 / terms.counts + (spread * spread) @ gain
-
-        return _Solve(
-            theta,
-            rss_zero - float(gain @ delta_sq),
-            log_counts + float(np.log1p(theta * mu).sum()) - b_r * math.log1p(k * theta),
-            solution,
-        )
-
-    return solve
-
-
-def _solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
-    """The spectral path when every present judge has one size, else Cholesky."""
-    if len(terms.groups) == 1:
-        return _spectral_solver(terms)
-    return lambda theta: _solve_system(terms, theta)
-
-
 def _profile(terms: _BlockTerms, solved: _Solve) -> tuple[float, float]:
     """Restricted -2 log likelihood profiled over the error variance.
 
@@ -503,25 +435,23 @@ def _profile(terms: _BlockTerms, solved: _Solve) -> tuple[float, float]:
     if solved.rss <= 0.0 or not np.isfinite(solved.rss):
         raise SingularFit("residual sum of squares vanished; error variance is not estimable")
     sigma2 = solved.rss / dof
-    logdet_h = sum(group.count * math.log1p(solved.theta * group.size) for group in terms.groups)
-    criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + logdet_h + solved.logdet_c
+    criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + solved.logdet
     return float(criterion), float(sigma2)
 
 
 def reml_criterion(scores: ScoreTable, theta: float) -> float:
     """Profiled restricted log likelihood at the variance ratio theta.
 
-    This is the exact objective fit_random maximizes, evaluated on the
-    same path: spectral when every present judge scored the same number
-    of posters, Cholesky otherwise.  Exposed so independent searches can
-    compare candidate theta values.
+    This is the exact objective fit_random maximizes, priced from the
+    same judge spectrum.  Exposed so independent searches can compare
+    candidate theta values.
     """
     if theta < 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    return -0.5 * _profile(terms, _solver(terms)(theta))[0]
+    return -0.5 * _profile(terms, _spectral_solver(terms)(theta))[0]
 
 
 def _search_theta(
@@ -531,9 +461,8 @@ def _search_theta(
 
     The search runs in u = log1p(theta) with an absolute tolerance of
     1e-12, far below the documented 1e-8 relative target on theta.  Each
-    candidate costs one solve: O(b) on the spectral path, one Cholesky
-    factorization of the poster system on the other.  at_zero is the
-    solve at the boundary theta = 0, which wins ties.  Returns
+    candidate costs one O(b) solve from the judge spectrum.  at_zero is
+    the solve at the boundary theta = 0, which wins ties.  Returns
     (converged, sigma2, winning solve); the winner is the solve the
     search already made.
     """
@@ -569,21 +498,19 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
 
     The restricted likelihood is profiled over theta = var_judge /
     var_error and maximized by a bounded one-dimensional search; theta =
-    0 is an admissible boundary estimate.  When every present judge
-    scored the same number of posters (every generated design, every
-    fully scored session) the search and the final estimates come from
-    one eigendecomposition of the judge matrix; other tables, such as
-    score files with missing cells, factor the poster system at each
-    candidate theta.  Standard errors are plug-in GLS values at the
-    estimated theta.  Works on disconnected designs: the random judge
-    effects tie the components together.  Posters without observations
-    receive NaN estimates and rank 0.
+    0 is an admissible boundary estimate.  One eigendecomposition of the
+    judge matrix prices every candidate theta and yields the final
+    estimates, for any judge sizes, including score files with missing
+    cells.  Standard errors are plug-in GLS values at the estimated
+    theta.  Works on disconnected designs: the random judge effects tie
+    the components together.  Posters without observations receive NaN
+    estimates and rank 0.
     """
     _check_table(design, scores)
     terms = _block_terms(scores)
     if terms.n - terms.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    solve = _solver(terms)
+    solve = _spectral_solver(terms)
     solved = solve(0.0)
     if solved.rss <= 1e-12 * terms.q0:
         # interpolating data (e.g. constant scores): both variance
@@ -592,8 +519,8 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
     else:
         converged, sigma2, solved = _search_theta(terms, solve, solved)
     theta = solved.theta
-    condition = _checked_condition(_reduce(terms, _random_shrink(theta))[0])
-    beta, inverse_diagonal = solved.solution()
+    condition = _checked_condition(_poster_matrix(terms, theta / (1.0 + theta * terms.sizes)))
+    beta, inverse_diagonal, _ = solved.solution()
     return _fit_result(
         "random",
         design.t,

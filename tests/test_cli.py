@@ -132,6 +132,20 @@ def test_extend_cli_matches_library(tmp_path, capsys):
     run(capsys, ["validate", str(cli_out), "--kind", "nb2"])
 
 
+def test_extend_without_seed_exits_two(tmp_path, capsys):
+    # the design file does not record its seed, so a default would
+    # silently continue a design generated with another seed on the
+    # wrong stream
+    base = tmp_path / "base.csv"
+    run(capsys, GEN + ["--kind", "nb2", "--seed", "7", "--out", str(base)])
+    out = tmp_path / "extended.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["extend", "--design", str(base), "--blocks", "5", "--kind", "nb2", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_complete_block_recovers_raw_means(tmp_path, capsys):
     design_path = tmp_path / "complete.csv"
     run(
@@ -154,6 +168,8 @@ def test_score_complete_block_recovers_raw_means(tmp_path, capsys):
              "--model", model, "--out", str(out)],
         )
         assert f"model={model}" in captured.out
+        fields = dict(field.split("=", 1) for field in captured.out.split())
+        assert 1.0 <= float(fields["condition"]) < 1e12
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from nbibd import (
     DesignConfig,
@@ -27,7 +30,7 @@ from nbibd import (
     write_scores,
 )
 from nbibd.design import Block, Design
-from nbibd.model import _block_terms, _profile, _random_shrink, _reduce, _solve_system, _spectral_solver
+from nbibd.model import _block_terms, _profile, _spectral_solver
 
 
 def sample_table(seed, t=18, k=4, b=12, kind="nb1", sd_judge=6.0):
@@ -261,57 +264,141 @@ def judge_absent_table(seed):
     return ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
 
 
+def cholesky_oracle(table, theta):
+    """The REML pieces at one ratio from a Cholesky factorization of C(theta).
+
+    Built from the table alone.  On scores centered at their mean, the
+    poster information matrix is C = D - N S N' with right-hand side
+    v - N S T: D the replication, N the poster-by-judge incidence, v and
+    T the poster and judge score sums, and S = theta/(1 + theta k) for a
+    judge of size k.  Returns the restricted -2 log likelihood, the
+    estimates, diag(C^-1), the weighted rss, y'y and the condition
+    number of C.
+    """
+    reviewed, poster_col = np.unique(table.posters, return_inverse=True)
+    present, judge_col = np.unique(table.judges, return_inverse=True)
+    y = table.scores - table.scores.mean()
+    incidence = np.zeros((reviewed.size, present.size))
+    incidence[poster_col, judge_col] = 1.0
+    sizes = incidence.sum(axis=0)
+    totals = np.bincount(judge_col, weights=y)
+    shrink = theta / (1.0 + theta * sizes)
+    system = np.diag(incidence.sum(axis=1)) - (incidence * shrink) @ incidence.T
+    rhs = np.bincount(poster_col, weights=y) - incidence @ (shrink * totals)
+    factor = cho_factor(system, lower=True)
+    beta = cho_solve(factor, rhs)
+    rss = float(y @ y) - float(shrink @ (totals * totals)) - float(rhs @ beta)
+    dof = table.n - reviewed.size
+    logdet = float(np.log1p(theta * sizes).sum()) + 2.0 * float(np.log(np.diag(factor[0])).sum())
+    criterion = dof * (math.log(2.0 * math.pi) + 1.0) + dof * math.log(rss / dof) + logdet
+    inverse_diagonal = np.diag(cho_solve(factor, np.eye(reviewed.size)))
+    return criterion, beta, inverse_diagonal, rss, float(y @ y), float(np.linalg.cond(system))
+
+
 def spectral_vs_cholesky(table, theta):
     """Relative gaps in criterion, estimates and diag(C^-1), and the gaps allowed.
 
     Each gap is taken relative to the larger of 1 and the Cholesky
     value's magnitude: estimates on centered data can be rounding noise
     around zero, as when a single poster is reviewed.  Each is allowed
-    1e-10, or the rounding both paths share where that is larger.  A
-    solve with the p-by-p C(theta) loses up to p * eps times its
-    condition number, the textbook bound for a Cholesky solve, which
-    passes 1e-10 only as theta nears 1e6.  Both paths form the rss as a
+    1e-10, or the rounding of the Cholesky reference where that is
+    larger.  A solve with the p-by-p C(theta) loses up to p * eps times
+    its condition number, the textbook bound for a Cholesky solve, which
+    passes 1e-10 only as theta nears 1e6.  Both sides form the rss as a
     difference of sums of n terms the size of y'y, so the criterion's
     dof * log(rss) also loses up to dof * n * eps * y'y / rss, which is
     large only when the scores nearly interpolate.
     """
     terms = _block_terms(table)
-    assert len(terms.groups) == 1
-    spectral, cholesky = _spectral_solver(terms)(theta), _solve_system(terms, theta)
-    pairs = [(_profile(terms, spectral)[0], _profile(terms, cholesky)[0])]
-    pairs += list(zip(spectral.solution(), cholesky.solution()))
+    spectral = _spectral_solver(terms)(theta)
+    criterion, beta, inverse_diagonal, rss, yy, condition = cholesky_oracle(table, theta)
+    pairs = [(_profile(terms, spectral)[0], criterion)]
+    pairs += list(zip(spectral.solution()[:2], (beta, inverse_diagonal)))
     gaps = [float(np.max(np.abs(ours - theirs)) / max(1.0, np.max(np.abs(theirs)))) for ours, theirs in pairs]
     eps = np.finfo(float).eps
-    solve = max(1e-10, terms.p * eps * np.linalg.cond(_reduce(terms, _random_shrink(theta))[0]))
-    rss = (terms.n - terms.p) * terms.n * eps * terms.q0 / cholesky.rss / max(1.0, abs(pairs[0][1]))
-    return gaps, [max(solve, rss), solve, solve]
+    solve = max(1e-10, terms.p * eps * condition)
+    rss_rounding = (terms.n - terms.p) * terms.n * eps * yy / rss / max(1.0, abs(criterion))
+    return gaps, [max(solve, rss_rounding), solve, solve]
 
 
-@pytest.mark.parametrize("case", ["nb1", "nb2", "random", "judge absent"])
+@pytest.mark.parametrize("case", ["nb1", "nb2", "random", "judge absent", "dropped cells"])
 def test_spectral_and_cholesky_solves_agree_at_a_fixed_ratio(case):
-    table = judge_absent_table(4) if case == "judge absent" else sample_table(4, kind=case)[1]
-    assert np.unique(table.judges).size == (table.b - 1 if case == "judge absent" else table.b)
+    if case == "judge absent":
+        table = judge_absent_table(4)
+    elif case == "dropped cells":
+        table = dropped_cells_table(4)[1]
+        assert np.unique(np.unique(table.judges, return_counts=True)[1]).size > 1
+    else:
+        table = sample_table(4, kind=case)[1]
+    assert np.unique(table.judges).size == (table.b if case in ("nb1", "nb2", "random") else table.b - 1)
     for theta in (0.0, 0.1, 1.0, 1e6):
         gaps, allowed = spectral_vs_cholesky(table, theta)
         assert allowed == [1e-10] * 3 or theta == 1e6
         assert all(gap <= limit for gap, limit in zip(gaps, allowed)), (theta, gaps, allowed)
 
 
-@settings(max_examples=60, deadline=None)
-@example(shape=(3, 1, 3), seed=4, theta=1.0)
-@given(
-    shape=st.integers(3, 12).flatmap(lambda t: st.tuples(st.just(t), st.integers(1, min(t, 5)), st.integers(1, 12))),
-    seed=st.integers(0, 2**32 - 1),
-    theta=st.floats(0.0, 100.0),
-)
-def test_spectral_and_cholesky_solves_agree_on_random_shapes(shape, seed, theta):
+def shapes(k_min):
+    """(t, k, b) with t in 3-12, k in k_min-min(t, 5) and b in 1-12."""
+    return st.integers(3, 12).flatmap(
+        lambda t: st.tuples(st.just(t), st.integers(k_min, min(t, 5)), st.integers(1, 12))
+    )
+
+
+def random_table(shape, seed, drop):
+    """b judges each scoring k random posters of t, with 15 % of cells dropped if drop.
+
+    Returns the table and the design of the undropped assignment.
+    """
     t, k, b = shape
     rng = np.random.default_rng(seed)
-    posters = np.concatenate([rng.choice(t, k, replace=False) for _ in range(b)])
-    table = ScoreTable(np.repeat(np.arange(b), k), posters, rng.normal(70.0, 8.0, b * k), t=t, b=b)
-    assume(table.n > np.unique(posters).size)
+    assigned = [np.sort(rng.choice(t, k, replace=False)) for _ in range(b)]
+    posters = np.concatenate(assigned)
+    judges = np.repeat(np.arange(b), k)
+    scores = rng.normal(70.0, 8.0, b * k)
+    keep = rng.random(b * k) >= (0.15 if drop else 0.0)
+    assume(keep.any())
+    table = ScoreTable(judges[keep], posters[keep], scores[keep], t=t, b=b)
+    if k < 2:
+        return table, None
+    blocks = [Block(judge, tuple(int(poster) for poster in ids), False) for judge, ids in enumerate(assigned)]
+    return table, Design.from_blocks(DesignConfig(t=t, k=k, b=b), blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=(3, 1, 3), seed=4, theta=1.0, drop=False)
+@given(shape=shapes(1), seed=st.integers(0, 2**32 - 1), theta=st.floats(0.0, 100.0), drop=st.booleans())
+def test_spectral_and_cholesky_solves_agree_on_random_shapes(shape, seed, theta, drop):
+    table, _ = random_table(shape, seed, drop)
+    assume(table.n > np.unique(table.posters).size)
     gaps, allowed = spectral_vs_cholesky(table, theta)
     assert all(gap <= limit for gap, limit in zip(gaps, allowed)), (gaps, allowed)
+
+
+def observed_components(table):
+    """Connected components of the bipartite graph of reviewed posters and present judges."""
+    reviewed, poster_col = np.unique(table.posters, return_inverse=True)
+    present, judge_col = np.unique(table.judges, return_inverse=True)
+    size = reviewed.size + present.size
+    edges = coo_matrix((np.ones(table.n), (poster_col, reviewed.size + judge_col)), shape=(size, size))
+    return connected_components(edges, directed=False)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(2), seed=st.integers(0, 2**32 - 1))
+def test_fixed_fit_matches_dense_least_squares_on_random_shapes(shape, seed):
+    table, design = random_table(shape, seed, drop=True)
+    p, b_r = np.unique(table.posters).size, np.unique(table.judges).size
+    assume(table.n - p - b_r + 1 >= 1)
+    if observed_components(table) > 1:
+        with pytest.raises(DisconnectedDesign):
+            fit_fixed(design, table)
+        return
+    fit = fit_fixed(design, table)
+    pmm, se, sigma2, _ = dense_fixed_oracle(table)
+    assert np.array_equal(np.isnan(fit.pmm), np.isnan(pmm))
+    assert np.nanmax(np.abs(fit.pmm - pmm)) < 1e-8
+    assert np.nanmax(np.abs(fit.se - se)) < 1e-8
+    assert fit.var_error == pytest.approx(sigma2, abs=1e-8)
 
 
 def exact_solve(matrix, columns):
@@ -330,51 +417,52 @@ def exact_solve(matrix, columns):
     return [row[n:] for row in rows]
 
 
-def test_spectral_solve_is_exact_at_the_upper_ratio_bound():
+@pytest.mark.parametrize("case", ["equal sizes", "dropped cells"])
+def test_spectral_solve_is_exact_at_the_upper_ratio_bound(case):
     # at theta = 1e6, C is within 1/(1 + k theta) of singular, which costs
-    # the Cholesky path about six digits; the spectral path keeps them
-    _, table = sample_table(4)
+    # a Cholesky solve about six digits; the spectral solve keeps them
+    table = sample_table(4)[1] if case == "equal sizes" else dropped_cells_table(4)[1]
     terms = _block_terms(table)
-    (group,) = terms.groups
+    assert (np.unique(terms.sizes).size > 1) == (case == "dropped cells")
     theta = 10**6
-    shrink = Fraction(theta, 1 + group.size * theta)
+    shrink = [Fraction(theta, 1 + int(size) * theta) for size in terms.sizes]
+    judges_of = [np.flatnonzero(row) for row in terms.incidence]
     matrix = [
-        [int(i == j) * Fraction(terms.counts[i]) - shrink * Fraction(group.cross[i, j]) for j in range(terms.p)]
+        [
+            int(i == j) * Fraction(terms.counts[i]) - sum(shrink[g] for g in np.intersect1d(judges_of[i], judges_of[j]))
+            for j in range(terms.p)
+        ]
         for i in range(terms.p)
     ]
-    totals = [Fraction(total) for total in terms.totals]
     columns = [
-        [Fraction(terms.v0[i]) - shrink * sum(total for total, hit in zip(totals, group.incidence[i]) if hit)]
+        [Fraction(terms.v0[i]) - sum(shrink[g] * Fraction(terms.totals[g]) for g in judges_of[i])]
         + [Fraction(int(i == j)) for j in range(terms.p)]
         for i in range(terms.p)
     ]
     solved = exact_solve(matrix, columns)
     beta = np.array([float(row[0]) for row in solved])
     diagonal = np.array([float(solved[i][1 + i]) for i in range(terms.p)])
-    estimates, inverse_diagonal = _spectral_solver(terms)(float(theta)).solution()
+    estimates, inverse_diagonal, _ = _spectral_solver(terms)(float(theta)).solution()
     assert np.max(np.abs(estimates - beta)) <= 1e-10 * np.max(np.abs(beta))
     assert np.max(np.abs(inverse_diagonal - diagonal)) <= 1e-10 * np.max(diagonal)
 
 
-def test_unequal_judge_sizes_take_the_cholesky_path(monkeypatch):
-    design, table = sample_table(6)
-    spectral_calls = []
+def test_every_table_and_both_fits_share_one_judge_spectrum(monkeypatch):
+    # equal and unequal judge sizes, both models and the public criterion
+    # all build the solver once per call; there is no second path
+    calls = []
 
     def counted(terms):
-        spectral_calls.append(terms)
+        calls.append(terms)
         return _spectral_solver(terms)
 
     monkeypatch.setattr("nbibd.model._spectral_solver", counted)
-    fit_random(design, table)
-    reml_criterion(table, 0.5)
-    assert len(spectral_calls) == 2
-    keep = np.arange(table.n) != 0
-    dropped = ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
-    assert np.unique(np.bincount(dropped.judges)).size == 2
-    fit = fit_random(design, dropped)
-    reml_criterion(dropped, 0.5)
-    assert len(spectral_calls) == 2
-    assert np.isfinite(fit.pmm).all()
+    for design, table in (sample_table(6), dropped_cells_table(6)):
+        for fitter in (fit_fixed, fit_random):
+            assert np.isfinite(fitter(design, table).pmm[np.unique(table.posters)]).all()
+        reml_criterion(table, 0.5)
+    assert len(calls) == 6
+    assert np.unique(calls[-1].sizes).size > 1
 
 
 @pytest.mark.parametrize("fitter,tol", [(fit_fixed, 1e-9), (fit_random, 1e-6)])
@@ -622,15 +710,17 @@ def test_fit_summary_csv_round_trip(tmp_path):
     assert float(cells[3]) == pytest.approx(fit.var_error)
 
 
-# sha256 of each file written below, recorded before the writers shared
-# one CSV codec; poster 17 is left unreviewed so the fit files carry an
-# empty row
+# sha256 of each file written below; poster 17 is left unreviewed so the
+# fit files carry an empty row and judges score unequal numbers of
+# posters.  The fit digests were re-recorded when both fits moved to the
+# judge spectrum, which changes their last digits; the scores digest is
+# the one recorded before the writers shared one CSV codec
 FIT_GOLDEN = {
     "scores.csv": "063ecbcf869c4d588c22b530d8cc89b77c4d439f81252f1bcd1791ef4e037c00",
-    "fixed.csv": "847d5811e886f1a90a74576c56a353220a69aca801096e005dc84c6891b6e897",
-    "fixed.summary.csv": "d290e9c1960147719e041a79abd3030142fd84d52a1c626d413777650656f256",
-    "random.csv": "85cc05c5851d9307ab30ab02463e0e4e2eaeb21917afce4a5ff64f7ae167b55f",
-    "random.summary.csv": "8e053c43751dc0e55947cc717491964de8171ec1c78e9cf1f9410a5b3fddaa3c",
+    "fixed.csv": "f178e2f1584742a53751250aba1b3c1b3a7bb27d11857e184452902a0bc304d2",
+    "fixed.summary.csv": "7ccdb2c04538ebefa3fcc6875c074516776e752b4c74b804292caf15d3eebaf3",
+    "random.csv": "3292058a6bcd8b3be3941b20b1ad072a41095d7154488a2cb236342c4713c0cb",
+    "random.summary.csv": "c3dd4f291975c14d44205b33d5e20dc98563d66766d1c6ff55ea84eb4ef42a79",
 }
 
 

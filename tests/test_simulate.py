@@ -324,14 +324,14 @@ def test_histogram_csv_bins_partition_the_results(tmp_path):
         write_histogram(str(path), report.results, params.designs, bins=0)
 
 
-# sha256 of each study file at the shape below, recorded when fit_random
-# moved to the spectral theta search (its theta can differ from the
-# Cholesky search's in the last digits); a change to any byte of these
-# formats, or to the summary arithmetic, shows up here
+# sha256 of each study file at the shape below, re-recorded when the
+# random fit's criterion dropped log det H against the same term of
+# log det C, which moves theta in its last digits; a change to any byte
+# of these formats, or to the summary arithmetic, shows up here
 STUDY_GOLDEN = {
-    "metrics.csv": "1e7ad099dc0ac7503b7fe83f938cc024b23e24502ab558842eba6af41cc8f17c",
-    "summary.csv": "6792dc6f2e7bbd435e1bbf88bf00d4232b5f2ab425c2228f8027412714f09b85",
-    "hist.csv": "bd02aefe4f452ab68219884feafef56111cd59aca159c6f58ec0d3c457eaa410",
+    "metrics.csv": "14d911908a747193103c73724d76cca03ad8aee40066270692a3294ec2e9bfe7",
+    "summary.csv": "7afea75181e8ae6592b08e658ea11dfc1c5a504cb9c5739220dbca9b92622a96",
+    "hist.csv": "c69665526ea9f383381e2b797b57defce848ec6f560da17243c695f392b6b3bc",
 }
 
 
