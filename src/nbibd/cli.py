@@ -228,6 +228,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
+    if args.hist_bins < 1:
+        raise ValueError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     results = read_metrics(args.metrics)
     kinds = present_kinds(results)
     aggregates = aggregate_results(results, kinds)

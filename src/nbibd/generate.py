@@ -199,10 +199,12 @@ def generate(
     discards the whole design is erased and rebuilt.  The restart
     continues the same random stream, so a given seed still yields
     exactly one output.  After restart_budget restarts the parameter
-    combination is deemed infeasible and NB1InfeasibleBudget is raised.
-    The random baseline raises ValueError when b*k < t, since it
-    promises coverage.
+    combination is deemed infeasible and NB1InfeasibleBudget is raised;
+    a negative restart_budget raises ValueError.  The random baseline
+    raises ValueError when b*k < t, since it promises coverage.
     """
+    if restart_budget < 0:
+        raise ValueError(f"restart_budget must be >= 0, got {restart_budget}")
     kind = GeneratorKind(kind)
     if kind is GeneratorKind.RANDOM and config.b * config.k < config.t:
         raise ValueError(f"cannot cover {config.t} posters with {config.b} blocks of size {config.k}")

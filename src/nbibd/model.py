@@ -13,12 +13,12 @@ N(0, var_judge); the variance components come from restricted maximum
 likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
-Neither the n-by-n judge covariance nor a factorization of the poster
-system is ever formed.  One eigendecomposition of a judge-by-judge
-matrix serves every score table, whatever its judge sizes, and both
-fits: it prices each candidate theta of the search in O(b), and yields
-the estimates and standard errors at the winning theta, or at theta =
-infinity for the fixed fit.
+Neither the n-by-n judge covariance nor any poster-by-poster matrix is
+ever formed.  One eigendecomposition of a judge-by-judge matrix serves
+every score table, whatever its judge sizes, and both fits: it prices
+each candidate theta of the search in O(b), and yields the estimates,
+standard errors and condition number at the winning theta, or at theta
+= infinity for the fixed fit.
 """
 
 from __future__ import annotations
@@ -149,11 +149,11 @@ class FitResult:
     pmm and se are length-t with NaN for unreviewed posters; rank is
     length-t with 1 = best and 0 marking unranked (unreviewed) posters.
     var_judge is NaN for the fixed model, whose judge effects are not
-    variance components.  condition_number is the 2-norm condition
-    number of the poster information matrix at the estimated theta (for
-    the fixed model, at theta = infinity with J/p added to remove its
-    null vector); either fit raises SingularFit when it exceeds 1e12.
-    Both fits take their estimates from the same judge spectrum.
+    variance components.  condition_number is 1/lambda_min of the
+    replication-scaled poster information matrix D^-1/2 C D^-1/2 at the
+    estimated theta; the fixed model's, at theta = inf without the null
+    eigenvalue, is 1 over the least canonical efficiency factor.  Either
+    fit raises SingularFit when it exceeds 1e12.
     """
 
     model_kind: str
@@ -246,20 +246,14 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
     )
 
 
-def _poster_matrix(terms: _BlockTerms, shrink: np.ndarray) -> np.ndarray:
-    """The poster information matrix D - N diag(shrink) N' at per-judge shrinks."""
-    return np.diag(terms.counts) - (terms.incidence * shrink) @ terms.incidence.T
+def _checked_condition(smallest: float) -> float:
+    """1/smallest (infinite if <= 0); raises SingularFit above _COND_LIMIT.
 
-
-def _checked_condition(system: np.ndarray) -> float:
-    """2-norm condition number of the symmetric poster information matrix.
-
-    The ratio of its extreme eigenvalues; a smallest eigenvalue <= 0
-    counts as infinite.  Raises SingularFit when it exceeds _COND_LIMIT.
+    A random fit's condition is <= 1 + theta * max(k_j), so in practice
+    only a nearly disconnected fixed fit trips this guard.
     """
-    eigenvalues = np.linalg.eigvalsh(system)
-    condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0.0 else math.inf
-    if not np.isfinite(condition) or condition > _COND_LIMIT:
+    condition = 1.0 / smallest if smallest > 0.0 else math.inf
+    if condition > _COND_LIMIT:
         raise SingularFit(f"ill-conditioned poster information matrix (condition {condition:.3e})")
     return condition
 
@@ -307,15 +301,15 @@ class _Solve:
 
     rss is the residual sum of squares under H(theta)^-1 weighting and
     logdet the sum of log det H and log det C, C the poster information
-    matrix.  solution() returns the poster estimates on centered data,
-    the diagonal of C^-1 and C^-1 as a function on vectors; only the
-    winning theta of a search asks for them.
+    matrix.  solution() returns the centered poster estimates, diag(C^-1),
+    C^-1 on vectors and the least eigenvalue of D^-1/2 C D^-1/2 on the
+    contrast space; only the winning theta of a search asks for them.
     """
 
     theta: float
     rss: float
     logdet: float
-    solution: Callable[[], tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]]
+    solution: Callable[[], tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]]
 
 
 def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
@@ -339,9 +333,14 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     diag(C^-1) need no factorization and no p-by-p inverse.  theta = inf
     is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
     them, which makes C^-1 a generalized inverse of the singular C(inf).
+    With B = D^-1/2 N S^1/2, D^-1/2 C D^-1/2 = I - BB' has no eigenvalue
+    above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
+    + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
+    diag(1/k) and it skips as many null eigenvalues as M has (Sylvester).
     """
     scaled = terms.incidence / terms.counts[:, None]
-    mu, basis = np.linalg.eigh(np.diag(terms.sizes) - terms.incidence.T @ scaled)
+    judge_matrix = np.diag(terms.sizes) - terms.incidence.T @ scaled
+    mu, basis = np.linalg.eigh(judge_matrix)
     means = terms.v0 / terms.counts
     delta = basis.T @ (terms.totals - terms.incidence.T @ means)
     # the null vectors are the indicators of connected sets of judges, on
@@ -358,16 +357,20 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
         if math.isinf(theta):
             gain = np.divide(1.0, mu, out=np.zeros_like(mu), where=~null)
             logdet = math.inf
+            root, skip = np.sqrt(1.0 / terms.sizes), int(null.sum())
         else:
             gain = theta / (1.0 + theta * mu)
             logdet = log_counts + float(np.log1p(theta * mu).sum())
+            root, skip = np.sqrt(theta / (1.0 + theta * terms.sizes)), 0
 
-        def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]:
             spread = scaled @ basis
+            system = np.diag(1.0 / (1.0 + theta * terms.sizes)) + root[:, None] * judge_matrix * root
             return (
                 means - spread @ (gain * delta),
                 1.0 / terms.counts + (spread * spread) @ gain,
                 lambda vector: vector / terms.counts + spread @ (gain * (spread.T @ vector)),
+                float(np.linalg.eigvalsh(system)[skip]),
             )
 
         return _Solve(theta, rss_zero - float(gain @ delta_sq), logdet, solution)
@@ -401,9 +404,8 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     if dof < 1:
         raise SingularFit("no residual degrees of freedom for the error variance")
     inv_sizes = 1.0 / terms.sizes
-    condition = _checked_condition(_poster_matrix(terms, inv_sizes) + 1.0 / terms.p)
     solved = _spectral_solver(terms)(math.inf)
-    tau, diagonal, inverse = solved.solution()
+    tau, diagonal, inverse, smallest = solved.solution()
     sigma2 = max(solved.rss, 0.0) / dof
 
     # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
@@ -422,7 +424,7 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
         float("nan"),
         float(sigma2),
         True,
-        condition,
+        _checked_condition(smallest),
     )
 
 
@@ -518,19 +520,17 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
         converged, sigma2 = True, 0.0
     else:
         converged, sigma2, solved = _search_theta(terms, solve, solved)
-    theta = solved.theta
-    condition = _checked_condition(_poster_matrix(terms, theta / (1.0 + theta * terms.sizes)))
-    beta, inverse_diagonal, _ = solved.solution()
+    beta, inverse_diagonal, _, smallest = solved.solution()
     return _fit_result(
         "random",
         design.t,
         terms.reviewed,
         beta + terms.center,
         sigma2 * inverse_diagonal,
-        float(theta * sigma2),
+        float(solved.theta * sigma2),
         float(sigma2),
         converged,
-        condition,
+        _checked_condition(smallest),
     )
 
 

@@ -546,7 +546,8 @@ def write_histogram(
     """Write per-design and per-pair histogram bin counts for every metric.
 
     The series are those aggregate_results summarizes, in the same
-    order; a series with no values has no rows.
+    order; a series with no values has no rows.  One whose values differ
+    only by rounding is binned as numpy bins a constant one, over +-0.5.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -556,7 +557,10 @@ def write_histogram(
             if values.size == 0:
                 continue
             section = "design" if len(kinds) == 1 else "difference"
-            counts, edges = np.histogram(values, bins=bins)
+            low, high = float(values.min()), float(values.max())
+            if np.any(np.diff(np.linspace(low, high, bins + 1)) <= 0.0):
+                low, high = low - 0.5, high + 0.5
+            counts, edges = np.histogram(values, bins=bins, range=(low, high))
             for index in range(counts.size):
                 yield [
                     section,

@@ -5,7 +5,17 @@ import csv
 import numpy as np
 import pytest
 
-from nbibd import ScoreTable, extend, read_design, write_design, write_scores
+from nbibd import (
+    DesignMetrics,
+    GeneratorKind,
+    IterationResult,
+    ScoreTable,
+    extend,
+    read_design,
+    write_design,
+    write_metrics,
+    write_scores,
+)
 from nbibd.cli import main
 from nbibd.design import Block, Design, DesignConfig
 
@@ -72,6 +82,13 @@ def test_generate_infeasible_exits_one(tmp_path, capsys):
     ]
     captured = run(capsys, argv, expect=1)
     assert "error:" in captured.err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_generate_rejects_negative_restart_budget(tmp_path, capsys):
+    argv = GEN + ["--kind", "nb1", "--restart-budget", "-1", "--out", str(tmp_path / "never.csv")]
+    captured = run(capsys, argv, expect=1)
+    assert "restart_budget must be >= 0" in captured.err
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -296,3 +313,17 @@ def test_report_default_output_name(tmp_path, capsys, monkeypatch):
 def test_report_missing_file_exits_two(tmp_path, capsys):
     captured = run(capsys, ["report", str(tmp_path / "absent.csv")], expect=2)
     assert "error:" in captured.err
+
+
+def test_report_rejects_zero_bins_before_writing_anything(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    row = DesignMetrics(win_prop=0.5, median_rank_dev=1.0, mean_score_dev=2.0, mean_se=3.0, disconnected=False)
+    write_metrics(str(metrics), [IterationResult(i, {GeneratorKind.NB2: row}) for i in range(2)])
+    summary, hist = tmp_path / "summary.csv", tmp_path / "hist.csv"
+    captured = run(
+        capsys,
+        ["report", str(metrics), "--out", str(summary), "--hist-out", str(hist), "--hist-bins", "0"],
+        expect=1,
+    )
+    assert "--hist-bins must be >= 1" in captured.err
+    assert not summary.exists() and not hist.exists()

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbibd import (
     DesignConfig,
@@ -13,6 +15,8 @@ from nbibd import (
     extend,
     generate,
     is_connected,
+    read_design,
+    recount,
     validate,
     write_design,
 )
@@ -125,6 +129,15 @@ def test_nb1_exhausts_budget_on_infeasible_shape():
     with pytest.raises(NB1InfeasibleBudget) as excinfo:
         generate(config, "nb1", restart_budget=5)
     assert "restart" in str(excinfo.value)
+
+
+def test_negative_restart_budget_is_rejected():
+    config = DesignConfig(seed=0, **SMALL)
+    for kind in ("nb1", "nb2", "random"):
+        with pytest.raises(ValueError, match="restart_budget"):
+            generate(config, kind, restart_budget=-1)
+    design, trace = generate(config, "nb1", restart_budget=0)
+    assert (design.b, trace.restarts) == (SMALL["b"], 0)
 
 
 def test_nb2_succeeds_on_the_same_shape():
@@ -267,3 +280,67 @@ def test_random_extension_of_an_uncovered_design_keeps_its_bytes(tmp_path):
     short, _ = generate(DesignConfig(t=40, k=4, b=7, seed=3), "nb2")
     digest = design_digest(tmp_path, extend(short, 6, "random"))
     assert digest == "9551e0e930feead888f9f688580daf34a776fbde3367164cb80c8065b7596cc1"
+
+
+# small shapes: t in 4-14, k in 2-min(t, 5), b in 1-16; nb1 gets a short
+# rejection budget so infeasible shapes give up quickly
+small_configs = st.integers(4, 14).flatmap(
+    lambda t: st.builds(
+        DesignConfig,
+        t=st.just(t),
+        k=st.integers(2, min(t, 5)),
+        b=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        max_attempts=st.just(40),
+    )
+)
+kinds = st.sampled_from(["nb1", "nb2", "random"])
+
+
+def generated(config, kind):
+    """The design, or None where nb1 exhausts its budget or random cannot cover t."""
+    try:
+        return generate(config, kind, restart_budget=3)[0]
+    except NB1InfeasibleBudget:
+        assert kind == "nb1"
+    except ValueError:
+        assert kind == "random" and config.b * config.k < config.t
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs, kind=kinds)
+def test_generated_tallies_match_recount(config, kind):
+    design = generated(config, kind)
+    if design is not None:
+        replication, concurrence = recount(design)
+        assert np.array_equal(replication, design.replication)
+        assert np.array_equal(concurrence, design.concurrence)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs, kind=st.sampled_from(["nb1", "nb2"]))
+def test_near_balanced_kinds_keep_spread_and_prefix_connectivity(config, kind):
+    design = generated(config, kind)
+    if design is not None:
+        report = validate(design)
+        assert report.all_prefixes_connected
+        assert report.max_concurrence <= 1 or kind == "nb2"
+        # before b_min blocks some posters are still unreviewed while the
+        # connecting anchors are reviewed twice; from there on the
+        # replication stays within one
+        assert report.replication_spread <= 1 or config.b < config.b_min
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs, kind=kinds)
+def test_design_csv_round_trips_byte_for_byte(tmp_path_factory, config, kind):
+    design = generated(config, kind)
+    if design is not None:
+        first = tmp_path_factory.mktemp("design") / "first.csv"
+        again = first.with_name("again.csv")
+        write_design(str(first), design)
+        read_back = read_design(str(first), t=design.t)
+        write_design(str(again), read_back)
+        assert again.read_bytes() == first.read_bytes()
+        assert read_back.blocks == design.blocks

@@ -188,6 +188,8 @@ def test_complete_block_estimates_are_raw_poster_means():
     for fit in (fit_fixed(design, table), fit_random(design, table)):
         assert np.max(np.abs(fit.pmm - means)) < 1e-8
         assert fit.grand_mean == pytest.approx(float(means.mean()), abs=1e-8)
+    # every canonical efficiency factor of a complete-block design is 1
+    assert fit_fixed(design, table).condition_number == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disconnected_design_fails_fixed_but_not_random():
@@ -442,7 +444,7 @@ def test_spectral_solve_is_exact_at_the_upper_ratio_bound(case):
     solved = exact_solve(matrix, columns)
     beta = np.array([float(row[0]) for row in solved])
     diagonal = np.array([float(solved[i][1 + i]) for i in range(terms.p)])
-    estimates, inverse_diagonal, _ = _spectral_solver(terms)(float(theta)).solution()
+    estimates, inverse_diagonal = _spectral_solver(terms)(float(theta)).solution()[:2]
     assert np.max(np.abs(estimates - beta)) <= 1e-10 * np.max(np.abs(beta))
     assert np.max(np.abs(inverse_diagonal - diagonal)) <= 1e-10 * np.max(diagonal)
 
@@ -550,26 +552,64 @@ def test_no_residual_degrees_of_freedom_is_singular():
         fit_random(design, table)
 
 
-def dense_poster_matrix(design, shrink):
-    """D - shrink * N N' over all t posters, N the poster-by-judge incidence."""
-    incidence = np.zeros((design.t, design.b))
-    for block in design.blocks:
-        incidence[list(block.poster_ids), block.judge_index] = 1.0
-    return np.diag(incidence.sum(axis=1)) - shrink * incidence @ incidence.T
+def dense_scaled_condition(table, theta):
+    """1/lambda_min of D^-1/2 C D^-1/2 over the reviewed posters, from the table alone.
+
+    C = D - N S N' with S = theta/(1 + theta k) for a judge of size k,
+    or 1/k at theta = inf, where the smallest eigenvalue, C's null
+    direction, is skipped.
+    """
+    reviewed, poster_col = np.unique(table.posters, return_inverse=True)
+    present, judge_col = np.unique(table.judges, return_inverse=True)
+    incidence = np.zeros((reviewed.size, present.size))
+    incidence[poster_col, judge_col] = 1.0
+    sizes = incidence.sum(axis=0)
+    shrink = 1.0 / sizes if math.isinf(theta) else theta / (1.0 + theta * sizes)
+    root = 1.0 / np.sqrt(incidence.sum(axis=1))
+    system = np.eye(reviewed.size) - root[:, None] * ((incidence * shrink) @ incidence.T) * root
+    eigenvalues = np.linalg.eigvalsh(system)
+    return 1.0 / eigenvalues[1 if math.isinf(theta) else 0]
 
 
+@pytest.mark.parametrize("case", ["equal sizes", "dropped cells", "more judges than posters"])
 @pytest.mark.parametrize("seed", [0, 2])
-def test_condition_number_is_that_of_the_dense_poster_matrix(seed):
-    design, table = sample_table(seed)
-    assert design.replication.min() >= 1
-    k, p = design.k, design.t
+def test_condition_number_is_that_of_the_dense_poster_matrix(case, seed):
+    if case == "equal sizes":
+        design, table = sample_table(seed)
+    elif case == "dropped cells":
+        design, table = dropped_cells_table(seed)
+    else:
+        design, table = sample_table(seed, t=8, k=4, b=12, kind="nb2")
+        assert design.t <= design.b
     fixed = fit_fixed(design, table)
-    expected = np.linalg.cond(dense_poster_matrix(design, 1.0 / k) + 1.0 / p)
-    assert fixed.condition_number == pytest.approx(expected, rel=1e-8)
+    assert fixed.condition_number == pytest.approx(dense_scaled_condition(table, math.inf), rel=1e-8)
     random_fit = fit_random(design, table)
     theta = random_fit.var_judge / random_fit.var_error
-    expected = np.linalg.cond(dense_poster_matrix(design, theta / (1.0 + k * theta)))
-    assert random_fit.condition_number == pytest.approx(expected, rel=1e-8)
+    assert random_fit.condition_number == pytest.approx(dense_scaled_condition(table, theta), rel=1e-8)
+    # the scaled system's diagonal part is at least 1/(1 + theta max(k)),
+    # a bound equal judge sizes attain along the grand-mean direction
+    assert random_fit.condition_number <= (1.0 + theta * np.bincount(table.judges).max()) * (1.0 + 1e-12)
+
+
+def test_every_eigendecomposition_is_judge_sized(monkeypatch):
+    # no poster-by-poster matrix reaches eigh or eigvalsh in either fit,
+    # including a table with more judges than reviewed posters
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(matrix, *args, original=original, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(f"nbibd.model.np.linalg.{name}", spy)
+    cases = (sample_table(6), dropped_cells_table(6), sample_table(6, t=8, k=4, b=12, kind="nb2"))
+    for design, table in cases:
+        b_r = np.unique(table.judges).size
+        for fitter in (fit_fixed, fit_random):
+            shapes.clear()
+            fitter(design, table)
+            assert shapes == [(b_r, b_r), (b_r, b_r)]
 
 
 def test_ill_conditioned_poster_matrix_is_singular(monkeypatch):

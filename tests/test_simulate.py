@@ -324,6 +324,24 @@ def test_histogram_csv_bins_partition_the_results(tmp_path):
         write_histogram(str(path), report.results, params.designs, bins=0)
 
 
+def test_histogram_bins_a_series_that_differs_only_by_rounding(tmp_path):
+    # nb1 - nb2 win_prop differences from a paper-preset study: their
+    # 1.1e-16 range is too narrow for 20 distinct bin edges
+    diffs = [0.06666666666666676] + [0.06666666666666665] * 3
+    results = tuple(
+        IterationResult(i, {NB1: metrics_row(win=diff), NB2: metrics_row(win=0.0)}) for i, diff in enumerate(diffs)
+    )
+    path = tmp_path / "hist.csv"
+    write_histogram(str(path), results, (NB1, NB2), bins=20)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    for name in ("nb1", "nb1-nb2"):
+        series = [row for row in rows if row[1:3] == [name, "win_prop"]]
+        # the unit-wide range numpy gives a constant series, centred on it
+        assert [int(row[5]) for row in series] == [0] * 10 + [4] + [0] * 9
+        assert float(series[0][3]) == pytest.approx(min(diffs) - 0.5)
+        assert float(series[-1][4]) == pytest.approx(max(diffs) + 0.5)
+
+
 # sha256 of each study file at the shape below, re-recorded when the
 # random fit's criterion dropped log det H against the same term of
 # log det C, which moves theta in its last digits; a change to any byte
