@@ -5,12 +5,17 @@ A design assigns each judge (a block) a fixed number of distinct posters
 arithmetic for fully balanced designs, and the validators shared by the
 generators and the command line tools: replication balance, pair
 concurrence, coverage, and connectivity of every generation prefix.
+
+The blocks are the source of truth.  The tallies are counted from them
+as one (b, k) array of poster ids, with bincounts in place of per-pair
+loops; the t x t pair tally is derived on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,6 +93,10 @@ def max_faculty_reviews(t: int, k: int) -> int:
     return -(-(b_min * k) // t)
 
 
+# the largest poster count whose ids fit a numpy int64 index
+_MAX_POSTERS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class DesignConfig:
     """Problem dimensions and generation parameters.
@@ -109,6 +118,8 @@ class DesignConfig:
     def __post_init__(self) -> None:
         if self.t < 2:
             raise ValueError(f"need at least 2 posters, got t={self.t}")
+        if self.t > _MAX_POSTERS:
+            raise ValueError(f"t={self.t} does not fit a 64-bit poster count")
         if not 2 <= self.k <= self.t:
             raise ValueError(f"need 2 <= k <= t, got k={self.k}, t={self.t}")
         if self.b < 1:
@@ -144,25 +155,29 @@ class Block:
 
 @dataclass
 class Design:
-    """An ordered block sequence plus incrementally maintained tallies.
+    """An ordered block sequence plus its replication and pair tallies.
 
-    replication[i] counts reviews of poster i; concurrence[i, j] counts
-    blocks containing both i and j (zero diagonal).  The generators keep
-    both arrays in lockstep with blocks; recount() re-derives them from
-    scratch and must agree exactly.  Treat every field as read-only.
+    The blocks are the source of truth.  replication[i] counts reviews of
+    poster i and comes with the design.  concurrence[i, j] counts blocks
+    containing both i and j: a t x t int64 array with a zero diagonal,
+    derived from the blocks the first time it is read.  recount()
+    re-derives both tallies and must agree exactly.  Treat every field
+    as read-only.
     """
 
     config: DesignConfig
     blocks: tuple[Block, ...]
     replication: np.ndarray
-    concurrence: np.ndarray
 
     @classmethod
     def from_blocks(cls, config: DesignConfig, blocks: Iterable[Block]) -> "Design":
         blocks = tuple(blocks)
         _check_blocks(config, blocks)
-        replication, concurrence = _recount(config.t, blocks)
-        return cls(config, blocks, replication, concurrence)
+        return cls(config, blocks, _replication(config.t, _block_array(blocks)))
+
+    @cached_property
+    def concurrence(self) -> np.ndarray:
+        return _concurrence(self.t, _block_array(self.blocks))
 
     @property
     def t(self) -> int:
@@ -214,26 +229,31 @@ def _check_blocks(config: DesignConfig, blocks: Sequence[Block]) -> None:
                 raise ValueError(f"block {position} references poster {poster} outside [0, {config.t})")
 
 
-def _recount(t: int, blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray]:
-    replication = np.zeros(t, dtype=np.int64)
-    concurrence = np.zeros((t, t), dtype=np.int64)
-    for block in blocks:
-        ids = block.poster_ids
-        for position, a in enumerate(ids):
-            replication[a] += 1
-            for other in ids[position + 1 :]:
-                concurrence[a, other] += 1
-                concurrence[other, a] += 1
-    return replication, concurrence
+def _block_array(blocks: Sequence[Block]) -> np.ndarray:
+    """The (b, k) int64 array of poster ids, one row per block."""
+    return np.array([block.poster_ids for block in blocks], dtype=np.int64)
+
+
+def _replication(t: int, ids: np.ndarray) -> np.ndarray:
+    return np.bincount(ids.ravel(), minlength=t).astype(np.int64, copy=False)
+
+
+def _concurrence(t: int, ids: np.ndarray) -> np.ndarray:
+    """Pair tally of a (b, k) block array: a bincount of the codes i*t + j, i != j."""
+    k = ids.shape[1]
+    codes = (ids[:, :, None] * t + ids[:, None, :])[:, ~np.eye(k, dtype=bool)]
+    return np.bincount(codes.ravel(), minlength=t * t).astype(np.int64, copy=False).reshape(t, t)
 
 
 def recount(design: Design) -> tuple[np.ndarray, np.ndarray]:
     """Recompute replication and concurrence from the blocks alone.
 
-    Brute-force tally over every block and every within-block pair; the
-    oracle for the incrementally maintained Design fields.
+    Both arrays are fresh, never the design's own: a bincount of the
+    poster ids and one of the within-block pair codes.  The brute-force
+    nested-loop tally that checks them lives in the tests.
     """
-    return _recount(design.t, design.blocks)
+    ids = _block_array(design.blocks)
+    return _replication(design.t, ids), _concurrence(design.t, ids)
 
 
 class _UnionFind:
@@ -357,7 +377,16 @@ def read_design(
     t may be omitted for designs that cover all posters, in which case it
     is inferred as max poster id + 1.  The stream seed is not stored in
     the file; pass the original seed if the design is to be extended
-    reproducibly.  Faculty flags must mark a leading run of blocks.
+    reproducibly.  Faculty flags must mark a leading run of blocks, and a
+    block needs at least two poster columns.
+
+    Every row is parsed before any structural check, so a cell that is
+    not a number, or a row of the wrong width, is reported wherever it
+    is.  The structural checks then run once per row and report the
+    first faulty row; within a row the order is judge order, duplicate
+    poster, poster range, faculty run.  The Design is built from the
+    checked rows directly, and its pair tally is left to be derived from
+    the blocks on first use.
     """
     header, rows = read_csv(path)
     if len(header) < 3 or header[:2] != ["judge_index", "faculty"]:
@@ -365,6 +394,8 @@ def read_design(
     k = len(header) - 2
     if header[2:] != [f"poster_{i + 1}" for i in range(k)]:
         raise FileFormatError(path, 1, "poster columns must be named poster_1..poster_k")
+    if k < 2:
+        raise FileFormatError(path, 1, f"a block needs at least 2 poster columns, got {k}")
 
     parsed: list[tuple[int, bool, list[int]]] = []
     for number, row in rows:
@@ -391,6 +422,8 @@ def read_design(
         for poster in posters:
             if not 0 <= poster < t:
                 raise FileFormatError(path, number, f"poster id {poster} outside [0, {t})")
+            if poster >= _MAX_POSTERS:
+                raise FileFormatError(path, number, f"poster id {poster} does not fit a 64-bit poster count")
         if faculty and faculty_run_over:
             raise FileFormatError(path, number, "faculty flags must mark a leading run of blocks")
         if not faculty:
@@ -406,4 +439,4 @@ def read_design(
         max_attempts=max_attempts,
         faculty_count=faculty_count,
     )
-    return Design.from_blocks(config, blocks)
+    return Design(config, tuple(blocks), _replication(t, _block_array(blocks)))

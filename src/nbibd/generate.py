@@ -143,15 +143,37 @@ def _commit(
     members: list[int],
     faculty_blocks: int,
     replication: np.ndarray,
-    concurrence: np.ndarray,
+    concurrence: np.ndarray | None,
     blocks: list[Block],
 ) -> None:
     for position, a in enumerate(members):
         replication[a] += 1
-        for b in members[position + 1 :]:
-            concurrence[a, b] += 1
-            concurrence[b, a] += 1
+        if concurrence is not None:
+            for b in members[position + 1 :]:
+                concurrence[a, b] += 1
+                concurrence[b, a] += 1
     blocks.append(Block(judge_index=index, poster_ids=tuple(members), faculty=index < faculty_blocks))
+
+
+def _forced_conflict(
+    replication: np.ndarray, concurrence: np.ndarray, members: list[int], k: int
+) -> tuple[int, int, int] | None:
+    """The review level and a pair that met, when a rejected draw past the faculty phase must repeat.
+
+    With no anchor the block fills from the least-reviewed stratum
+    upward.  When every stratum it touched was taken whole, the block is
+    exactly the k posters reviewed at most `level` times, so every later
+    draw yields the same posters and the same conflict; otherwise None.
+    """
+    level = int(replication[members].max())
+    if np.count_nonzero(replication <= level) != k:
+        return None
+    ordered = sorted(members)
+    for position, a in enumerate(ordered):
+        for b in ordered[position + 1 :]:
+            if concurrence[a, b]:
+                return level, a, b
+    return None
 
 
 def _append_blocks(
@@ -159,15 +181,19 @@ def _append_blocks(
     kind: GeneratorKind,
     stop: int,
     replication: np.ndarray,
-    concurrence: np.ndarray,
+    concurrence: np.ndarray | None,
     blocks: list[Block],
     rng: np.random.Generator,
+    stop_at_dead_end: bool = False,
 ) -> int:
     """Draw and commit blocks len(blocks)..stop-1 in place; returns the rejected count.
 
-    nb1 discards any candidate that would let a pair of posters meet
-    twice and raises _RestartSignal once a single block has collected
-    config.max_attempts consecutive discards.
+    concurrence is the running pair tally, which only nb1's pair check
+    reads; the other kinds pass None.  nb1 discards any candidate that
+    would let a pair of posters meet twice and raises _RestartSignal once
+    a single block has collected config.max_attempts consecutive
+    discards.  With stop_at_dead_end it raises NB1InfeasibleBudget at the
+    first discard that every later attempt would repeat.
     """
     rejected = 0
     for index in range(len(blocks), stop):
@@ -181,6 +207,15 @@ def _append_blocks(
                 break
             rejected += 1
             discards += 1
+            if stop_at_dead_end and index >= config.b_min:
+                forced = _forced_conflict(replication, concurrence, members, config.k)
+                if forced is not None:
+                    level, a, b = forced
+                    raise NB1InfeasibleBudget(
+                        f"nb1 cannot extend block {index} at t={config.t}, k={config.k}: every draw takes the "
+                        f"same {config.k} least-reviewed posters (review count at most {level}), and posters "
+                        f"{a} and {b} among them have already met; an nb2 continuation can finish the session"
+                    )
             if discards >= config.max_attempts:
                 raise _RestartSignal(rejected)
         _commit(index, members, config.faculty_blocks, replication, concurrence, blocks)
@@ -213,7 +248,7 @@ def generate(
     rejected_total = 0
     while True:
         replication = np.zeros(config.t, dtype=np.int64)
-        concurrence = np.zeros((config.t, config.t), dtype=np.int64)
+        concurrence = np.zeros((config.t, config.t), dtype=np.int64) if kind is GeneratorKind.NB1 else None
         blocks: list[Block] = []
         try:
             rejected_total += _append_blocks(config, kind, config.b, replication, concurrence, blocks, rng)
@@ -226,7 +261,7 @@ def generate(
                     f"a pairwise-concurrence-1 design likely does not exist for these parameters"
                 ) from None
             continue
-        design = Design(config, tuple(blocks), replication, concurrence)
+        design = Design(config, tuple(blocks), replication)
         return design, GenerationTrace(restarts=restarts, rejected_blocks=rejected_total, seed_used=config.seed)
 
 
@@ -238,7 +273,12 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     deterministic without replaying the original generation.  An nb1
     extension raises NB1InfeasibleBudget as soon as one block exhausts
     max_attempts: restarting from scratch would revise the prefix, which
-    this operation promises never to do.
+    this operation promises never to do.  It raises at the first
+    rejected draw already when the draw was forced (past the faculty
+    phase, every least-reviewed stratum it touched taken whole), since
+    every later attempt would draw the same posters.  Only nb1 forms the
+    pair tally, as a working copy for its pair check; nb2 and random
+    never read it.
     """
     kind = GeneratorKind(kind)
     if additional_blocks < 0:
@@ -250,14 +290,16 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     start = design.b
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, start])))
     replication = design.replication.copy()
-    concurrence = design.concurrence.copy()
+    concurrence = design.concurrence.copy() if kind is GeneratorKind.NB1 else None
     blocks = list(design.blocks)
     try:
-        _append_blocks(config, kind, start + additional_blocks, replication, concurrence, blocks, rng)
+        _append_blocks(
+            config, kind, start + additional_blocks, replication, concurrence, blocks, rng, stop_at_dead_end=True
+        )
     except _RestartSignal:
         raise NB1InfeasibleBudget(
             f"no pair-compatible block found after {config.max_attempts} attempts while extending "
             f"block {len(blocks)} at t={config.t}, k={config.k}"
         ) from None
     new_config = replace(config, b=start + additional_blocks)
-    return Design(new_config, tuple(blocks), replication, concurrence)
+    return Design(new_config, tuple(blocks), replication)

@@ -22,7 +22,6 @@ from nbibd import (
     generate,
     is_connected,
     lambda_of,
-    recount,
     reml_criterion,
     required_blocks,
     run_study,
@@ -30,6 +29,7 @@ from nbibd import (
 )
 from nbibd.cli import main
 from nbibd.design import Block, Design
+from tally_oracle import tallies_match_oracle
 
 NB1, NB2, RANDOM = GeneratorKind.NB1, GeneratorKind.NB2, GeneratorKind.RANDOM
 BENCH = dict(t=200, k=5, b=100)
@@ -156,11 +156,7 @@ def test_criterion_3_oracle_equivalence(capsys, design_suite):
     tally_misses = 0
     for suite in designs.values():
         for design in suite:
-            replication, concurrence = recount(design)
-            if not (
-                np.array_equal(replication, design.replication)
-                and np.array_equal(concurrence, design.concurrence)
-            ):
+            if not tallies_match_oracle(design):
                 tally_misses += 1
 
     worst_criterion = 0.0
@@ -190,7 +186,7 @@ def test_criterion_3_oracle_equivalence(capsys, design_suite):
 
     ok = tally_misses == 0 and worst_criterion <= 1e-6 and worst_pmm <= 1e-4
     detail = (
-        f"tally recount misses={tally_misses}/400, criterion gap {worst_criterion:.2e} "
+        f"tally oracle misses={tally_misses}/400, criterion gap {worst_criterion:.2e} "
         f"(limit 1e-6), pmm gap {worst_pmm:.2e} (limit 1e-4)"
     )
     emit(capsys, "criterion 3 oracle equivalence", ok, detail)

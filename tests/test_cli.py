@@ -327,3 +327,23 @@ def test_report_rejects_zero_bins_before_writing_anything(tmp_path, capsys):
     )
     assert "--hist-bins must be >= 1" in captured.err
     assert not summary.exists() and not hist.exists()
+
+
+def test_validate_one_poster_column_design_exits_two(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("judge_index,faculty,poster_1\n0,true,0\n1,true,1\n")
+    captured = run(capsys, ["validate", str(path)], expect=2)
+    assert f"{path}:row 1: a block needs at least 2 poster columns, got 1" in captured.err
+
+
+def test_validate_poster_id_beyond_int64_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"judge_index,faculty,poster_1,poster_2\n0,true,0,{2**64 + 1}\n")
+    captured = run(capsys, ["validate", str(path)], expect=2)
+    assert f"{path}:row 2: poster id {2**64 + 1} does not fit a 64-bit poster count" in captured.err
+    captured = run(capsys, ["validate", str(path), "--posters", str(2**70)], expect=2)
+    assert "does not fit a 64-bit poster count" in captured.err
+    small = tmp_path / "small.csv"
+    small.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n")
+    captured = run(capsys, ["validate", str(small), "--posters", str(2**70)], expect=1)
+    assert "does not fit a 64-bit poster count" in captured.err

@@ -14,13 +14,13 @@ from nbibd import (
     max_faculty_reviews,
     min_connect_blocks,
     read_design,
-    recount,
     required_blocks,
     validate,
     write_design,
 )
 from nbibd.design import Block, Design
 from nbibd.generate import generate
+from tally_oracle import tallies_match_oracle
 
 
 def make_design(t, k, blocks, faculty=None, b=None):
@@ -125,6 +125,8 @@ def test_design_config_rejects_bad_arguments():
         DesignConfig(t=10, k=3, b=3, max_attempts=0)
     with pytest.raises(ValueError):
         DesignConfig(t=10, k=3, b=3, faculty_count=-1)
+    with pytest.raises(ValueError, match="64-bit"):
+        DesignConfig(t=2**63, k=3, b=3)
 
 
 def test_from_blocks_builds_tallies():
@@ -155,11 +157,10 @@ def test_from_blocks_rejects_malformed_blocks():
 
 
 def test_recount_matches_incremental_tallies():
-    for seed in range(5):
-        design, _ = generate(DesignConfig(t=25, k=4, b=15, seed=seed), "nb2")
-        replication, concurrence = recount(design)
-        assert np.array_equal(replication, design.replication)
-        assert np.array_equal(concurrence, design.concurrence)
+    for kind in ("nb1", "nb2"):
+        for seed in range(5):
+            design, _ = generate(DesignConfig(t=25, k=4, b=15, seed=seed), kind)
+            assert tallies_match_oracle(design)
 
 
 def test_is_connected_prefixes():
@@ -227,6 +228,11 @@ def test_validate_detects_corrupted_tallies():
     design.replication[0] += 1
     with pytest.raises(RuntimeError):
         validate(design)
+    # the pair tally, derived on first read, is checked as well
+    design = make_design(4, 2, [(0, 1), (1, 2), (2, 3)])
+    design.concurrence[0, 1] += 1
+    with pytest.raises(RuntimeError, match="concurrence total"):
+        validate(design)
 
 
 def test_design_csv_roundtrip(tmp_path):
@@ -269,6 +275,8 @@ HEAD = "judge_index,faculty,poster_1,poster_2\n"
         (HEAD + "0,true,1,1\n", "duplicate poster", 2),
         (HEAD + "0,maybe,0,1\n", "faculty", 2),
         (HEAD + "0,false,0,1\n1,true,1,2\n", "leading run", 3),
+        ("judge_index,faculty,poster_1\n0,true,0\n", "at least 2 poster columns, got 1", 1),
+        (HEAD + "0,true,0,1\n1,true,2,18446744073709551617\n", "does not fit a 64-bit poster count", 3),
     ],
 )
 def test_read_design_rejects_malformed_files(tmp_path, content, fragment, row):
@@ -276,6 +284,35 @@ def test_read_design_rejects_malformed_files(tmp_path, content, fragment, row):
     path.write_text(content)
     with pytest.raises(FileFormatError) as excinfo:
         read_design(str(path))
+    assert fragment in str(excinfo.value)
+    assert excinfo.value.row == row
+
+
+# files with several faults: every row is parsed before any structural
+# check, the first row with a structural fault wins, and within one row
+# the order is judge order, duplicate poster, poster range, faculty run
+@pytest.mark.parametrize(
+    "content,t,fragment,row",
+    [
+        (HEAD + "1,true,0,1\n1,true,x,2\n", None, "'poster_1' is not an integer", 3),
+        (HEAD + "0,true,1,1\n1,true,0\n", None, "expected 4 columns, got 3", 3),
+        (HEAD + "0,false,0,9\n1,true,0,1\n2,maybe,0,1\n", 3, "'faculty' is not a boolean", 4),
+        (HEAD + "x,maybe,0,y\n", None, "'judge_index' is not an integer", 2),
+        (HEAD + "0,maybe,0,y\n", None, "'faculty' is not a boolean", 2),
+        (HEAD + "0,true,0,0\n2,true,0,9\n", 3, "duplicate poster", 2),
+        (HEAD + "0,true,0,9\n1,true,1,1\n", 3, "poster id 9 outside [0, 3)", 2),
+        (HEAD + "0,false,0,1\n1,true,0,1\n2,true,2,2\n", None, "leading run", 3),
+        (HEAD + "1,true,0,0\n", None, "out of order", 2),
+        (HEAD + "0,true,0,1\n0,true,1,1\n", None, "duplicate judge_index 0", 3),
+        (HEAD + "0,true,5,5\n", 3, "duplicate poster", 2),
+        (HEAD + "0,false,0,1\n1,true,0,9\n", 3, "poster id 9 outside [0, 3)", 3),
+    ],
+)
+def test_read_design_reports_the_first_fault(tmp_path, content, t, fragment, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(FileFormatError) as excinfo:
+        read_design(str(path), t=t)
     assert fragment in str(excinfo.value)
     assert excinfo.value.row == row
 

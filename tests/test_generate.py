@@ -1,6 +1,7 @@
 """Generator behavior: determinism, balance, concurrence, prefixes, extension."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from nbibd import (
     validate,
     write_design,
 )
+from nbibd.cli import main
+from nbibd.design import Design
+from tally_oracle import tallies_match_oracle
+
+# the package re-exports the function generate under the module's name
+design_module = importlib.import_module("nbibd.design")
+generate_module = importlib.import_module("nbibd.generate")
 
 # fractional replication (b*k not a multiple of t) keeps the final
 # least-reviewed stratum wide, which the nb1 greedy needs to finish
@@ -219,6 +227,51 @@ def test_extend_nb1_raises_when_saturated():
         extend(base, 1, "nb1")
 
 
+def test_extend_nb1_fails_fast_at_a_forced_dead_end(monkeypatch):
+    # one judge at a time from the 50 faculty blocks, seed 1 reaches block
+    # 79 with exactly five posters reviewed once, two of which have met
+    design, _ = generate(DesignConfig(t=200, k=5, b=50, seed=1), "nb1")
+    while design.b < 79:
+        design = extend(design, 1, "nb1")
+    draws = []
+    draw_block = generate_module._draw_block
+
+    def counted(index, *args):
+        draws.append(index)
+        return draw_block(index, *args)
+
+    monkeypatch.setattr(generate_module, "_draw_block", counted)
+    with pytest.raises(NB1InfeasibleBudget) as excinfo:
+        extend(design, 1, "nb1")
+    assert draws == [79]
+    assert str(excinfo.value) == (
+        "nb1 cannot extend block 79 at t=200, k=5: every draw takes the same 5 least-reviewed posters "
+        "(review count at most 1), and posters 155 and 182 among them have already met; "
+        "an nb2 continuation can finish the session"
+    )
+    assert extend(design, 1, "nb2").b == 80
+
+
+def test_nb2_arrival_forms_no_pair_tally(tmp_path, monkeypatch):
+    # read -> nb2 extend -> write, in the library and through the CLI,
+    # must never derive the t x t concurrence
+    base, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), "nb2")
+    path = tmp_path / "design.csv"
+    write_design(str(path), base)
+
+    def refuse(t, ids):
+        raise AssertionError("a t x t pair tally was formed")
+
+    monkeypatch.setattr(design_module, "_concurrence", refuse)
+    grown = extend(read_design(str(path), seed=9), 3, "nb2")
+    write_design(str(path), grown)
+    argv = ["extend", "--design", str(path), "--blocks", "1", "--kind", "nb2", "--seed", "9", "--out", str(path)]
+    assert main(argv) == 0
+    assert read_design(str(path)).blocks[:15] == grown.blocks
+    with pytest.raises(AssertionError, match="pair tally"):
+        validate(grown)
+
+
 def test_extend_rejects_negative():
     base, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), "nb2")
     with pytest.raises(ValueError):
@@ -344,3 +397,26 @@ def test_design_csv_round_trips_byte_for_byte(tmp_path_factory, config, kind):
         write_design(str(again), read_back)
         assert again.read_bytes() == first.read_bytes()
         assert read_back.blocks == design.blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs, kind=kinds, extra=st.integers(0, 4), pad=st.integers(0, 3))
+def test_tallies_match_the_brute_force_oracle(tmp_path_factory, config, kind, extra, pad):
+    # generate, extend, from_blocks and read_design (t up to 3 above the
+    # generated t, so above max id + 1) against the nested-loop tally
+    design = generated(config, kind)
+    if design is None:
+        return
+    assert tallies_match_oracle(design)
+    assert tallies_match_oracle(Design.from_blocks(design.config, design.blocks))
+    try:
+        extended = extend(design, extra, kind)
+    except NB1InfeasibleBudget:
+        assert kind == "nb1"
+    else:
+        assert tallies_match_oracle(extended)
+    path = tmp_path_factory.mktemp("design") / "design.csv"
+    write_design(str(path), design)
+    read_back = read_design(str(path), t=design.t + pad)
+    assert read_back.t == design.t + pad
+    assert tallies_match_oracle(read_back)
