@@ -6,14 +6,15 @@ arithmetic for fully balanced designs, and the validators shared by the
 generators and the command line tools: replication balance, pair
 concurrence, coverage, and connectivity of every generation prefix.
 
-The blocks are the source of truth.  The tallies are counted from them
-as one (b, k) array of poster ids, with bincounts in place of per-pair
-loops; the t x t pair tally is derived on first use.
+A design is its read-only (b, k) array of poster ids, row j being judge
+j's block; block j is a faculty block when j < config.faculty_blocks.
+The tallies are bincounts over that array, and the t x t pair tally and
+the Block views are derived on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -153,31 +154,44 @@ class Block:
     faculty: bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Design:
-    """An ordered block sequence plus its replication and pair tallies.
+    """A design: its config and its read-only (b, k) array of poster ids.
 
-    The blocks are the source of truth.  replication[i] counts reviews of
-    poster i and comes with the design.  concurrence[i, j] counts blocks
-    containing both i and j: a t x t int64 array with a zero diagonal,
-    derived from the blocks the first time it is read.  recount()
-    re-derives both tallies and must agree exactly.  Treat every field
-    as read-only.
+    ids[j] is judge j's block, a faculty block when j < faculty_blocks.
+    The rest is derived from ids on first use: replication[i] counts
+    reviews of poster i, concurrence[i, j] blocks containing both i and
+    j (t x t, int64, zero diagonal), and blocks is one Block view per
+    row.  recount() re-derives both tallies and must agree exactly.
     """
 
     config: DesignConfig
-    blocks: tuple[Block, ...]
-    replication: np.ndarray
+    ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.ids.flags.writeable = False
 
     @classmethod
     def from_blocks(cls, config: DesignConfig, blocks: Iterable[Block]) -> "Design":
+        """Check the blocks; the design's config takes the faculty count that reproduces their flags."""
         blocks = tuple(blocks)
         _check_blocks(config, blocks)
-        return cls(config, blocks, _replication(config.t, _block_array(blocks)))
+        faculty_count = _faculty_count(config, [block.faculty for block in blocks])
+        ids = np.array([block.poster_ids for block in blocks], dtype=np.int64)
+        return cls(replace(config, faculty_count=faculty_count), ids)
+
+    @cached_property
+    def replication(self) -> np.ndarray:
+        return _replication(self.t, self.ids)
 
     @cached_property
     def concurrence(self) -> np.ndarray:
-        return _concurrence(self.t, _block_array(self.blocks))
+        return _concurrence(self.t, self.ids)
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        faculty_blocks = self.config.faculty_blocks
+        return tuple(Block(j, tuple(row), j < faculty_blocks) for j, row in enumerate(self.ids.tolist()))
 
     @property
     def t(self) -> int:
@@ -189,7 +203,7 @@ class Design:
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return self.ids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -229,9 +243,16 @@ def _check_blocks(config: DesignConfig, blocks: Sequence[Block]) -> None:
                 raise ValueError(f"block {position} references poster {poster} outside [0, {config.t})")
 
 
-def _block_array(blocks: Sequence[Block]) -> np.ndarray:
-    """The (b, k) int64 array of poster ids, one row per block."""
-    return np.array([block.poster_ids for block in blocks], dtype=np.int64)
+def _faculty_count(config: DesignConfig, flags: Sequence[bool]) -> int | None:
+    """The faculty_count that flags exactly the leading run of flags; ValueError if they are not one.
+
+    A run of min(b, config.faculty_blocks) keeps the config's own count
+    (None inside the default phase), any other run becomes its length.
+    """
+    run = flags.index(False) if False in flags else len(flags)
+    if any(flags[run:]):
+        raise ValueError("faculty flags must mark a leading run of blocks")
+    return config.faculty_count if run == min(len(flags), config.faculty_blocks) else run
 
 
 def _replication(t: int, ids: np.ndarray) -> np.ndarray:
@@ -252,8 +273,7 @@ def recount(design: Design) -> tuple[np.ndarray, np.ndarray]:
     poster ids and one of the within-block pair codes.  The brute-force
     nested-loop tally that checks them lives in the tests.
     """
-    ids = _block_array(design.blocks)
-    return _replication(design.t, ids), _concurrence(design.t, ids)
+    return _replication(design.t, design.ids), _concurrence(design.t, design.ids)
 
 
 class _UnionFind:
@@ -316,13 +336,12 @@ def is_connected(design: Design, prefix_len: int | None = None) -> bool:
     are excluded, so a prefix can be connected before full coverage.
     prefix_len defaults to the full design.
     """
-    b = len(design.blocks)
+    b = design.b
     if prefix_len is None:
         prefix_len = b
     if not 1 <= prefix_len <= b:
         raise ValueError(f"prefix_len must be in [1, {b}], got {prefix_len}")
-    groups = (block.poster_ids for block in design.blocks[:prefix_len])
-    return _prefix_connected_flags(design.t, groups)[-1]
+    return _prefix_connected_flags(design.t, design.ids[:prefix_len].tolist())[-1]
 
 
 def validate(design: Design) -> ValidationReport:
@@ -336,16 +355,13 @@ def validate(design: Design) -> ValidationReport:
     if pair_total != b * k * (k - 1):
         raise RuntimeError(f"concurrence total {pair_total} != b*k*(k-1) = {b * k * (k - 1)}; tallies corrupted")
 
-    flags = _prefix_connected_flags(t, (block.poster_ids for block in design.blocks))
+    flags = _prefix_connected_flags(t, design.ids.tolist())
     covered = bool(replication.min() >= 1)
-    b_min = design.config.b_min
-    if b < b_min:
+    if b < design.config.b_min:
         faculty_coverage_ok = True
     else:
         in_faculty = np.zeros(t, dtype=bool)
-        for block in design.blocks:
-            if block.faculty:
-                in_faculty[list(block.poster_ids)] = True
+        in_faculty[design.ids[: design.config.faculty_blocks]] = True
         faculty_coverage_ok = bool(in_faculty.all())
     return ValidationReport(
         replication_spread=int(replication.max() - replication.min()),
@@ -359,10 +375,11 @@ def validate(design: Design) -> ValidationReport:
 
 def write_design(path: str, design: Design) -> None:
     """Write the design as CSV: judge_index,faculty,poster_1,...,poster_k."""
+    faculty = design.config.faculty_blocks
     write_csv(
         path,
         ["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(design.k)],
-        ([block.judge_index, "true" if block.faculty else "false", *block.poster_ids] for block in design.blocks),
+        ([j, "true" if j < faculty else "false", *posters] for j, posters in enumerate(design.ids.tolist())),
     )
 
 
@@ -384,9 +401,16 @@ def read_design(
     not a number, or a row of the wrong width, is reported wherever it
     is.  The structural checks then run once per row and report the
     first faulty row; within a row the order is judge order, duplicate
-    poster, poster range, faculty run.  The Design is built from the
-    checked rows directly, and its pair tally is left to be derived from
-    the blocks on first use.
+    poster, poster range, faculty run.  The checked rows become the
+    design's id array.
+
+    A faculty run of min(b, b_min) rows reads as faculty_count=None, any
+    other as its length, so a file inside its default faculty phase
+    extends like the design in memory.  A file whose every block is
+    flagged cannot record how far an explicit faculty_count runs past
+    it: it reads back as None below b_min and as b from b_min on, so
+    extending it flags other blocks than extending the design in memory
+    unless that count gives the same phase.
     """
     header, rows = read_csv(path)
     if len(header) < 3 or header[:2] != ["judge_index", "faculty"]:
@@ -409,12 +433,11 @@ def read_design(
     if t is None:
         t = 1 + max(max(posters) for _, _, posters in parsed)
 
-    blocks: list[Block] = []
     faculty_run_over = False
     for number, (judge, faculty, posters) in enumerate(parsed, start=2):
         position = number - 2
         if judge != position:
-            if judge in [b.judge_index for b in blocks]:
+            if 0 <= judge < position:
                 raise FileFormatError(path, number, f"duplicate judge_index {judge}")
             raise FileFormatError(path, number, f"judge_index {judge} out of order (expected {position})")
         if len(set(posters)) != k:
@@ -428,15 +451,8 @@ def read_design(
             raise FileFormatError(path, number, "faculty flags must mark a leading run of blocks")
         if not faculty:
             faculty_run_over = True
-        blocks.append(Block(judge_index=position, poster_ids=tuple(posters), faculty=faculty))
 
-    faculty_count = sum(1 for block in blocks if block.faculty)
-    config = DesignConfig(
-        t=t,
-        k=k,
-        b=len(blocks),
-        seed=seed,
-        max_attempts=max_attempts,
-        faculty_count=faculty_count,
-    )
-    return Design(config, tuple(blocks), _replication(t, _block_array(blocks)))
+    config = DesignConfig(t=t, k=k, b=len(parsed), seed=seed, max_attempts=max_attempts)
+    faculty_count = _faculty_count(config, [faculty for _, faculty, _ in parsed])
+    ids = np.array([posters for _, _, posters in parsed], dtype=np.int64)
+    return Design(replace(config, faculty_count=faculty_count), ids)

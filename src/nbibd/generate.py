@@ -9,7 +9,9 @@ least-reviewed posters upward.  nb1 additionally rejects any candidate
 block that would let a pair of posters meet twice, erasing everything
 and restarting once a single block exhausts its attempt budget.  The
 random baseline only guarantees coverage: it drains the unreviewed pool,
-then samples blocks uniformly.
+then samples blocks uniformly.  Blocks are drawn into the rows of a
+preallocated (b, k) poster-id array, which becomes the Design; block j
+is a faculty block when j < config.faculty_blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .design import Block, Design, DesignConfig
+from .design import Design, DesignConfig
 
 __all__ = [
     "GeneratorKind",
@@ -138,23 +140,6 @@ def _pair_conflict(concurrence: np.ndarray, members: list[int]) -> bool:
     return False
 
 
-def _commit(
-    index: int,
-    members: list[int],
-    faculty_blocks: int,
-    replication: np.ndarray,
-    concurrence: np.ndarray | None,
-    blocks: list[Block],
-) -> None:
-    for position, a in enumerate(members):
-        replication[a] += 1
-        if concurrence is not None:
-            for b in members[position + 1 :]:
-                concurrence[a, b] += 1
-                concurrence[b, a] += 1
-    blocks.append(Block(judge_index=index, poster_ids=tuple(members), faculty=index < faculty_blocks))
-
-
 def _forced_conflict(
     replication: np.ndarray, concurrence: np.ndarray, members: list[int], k: int
 ) -> tuple[int, int, int] | None:
@@ -179,24 +164,25 @@ def _forced_conflict(
 def _append_blocks(
     config: DesignConfig,
     kind: GeneratorKind,
-    stop: int,
+    ids: np.ndarray,
+    start: int,
     replication: np.ndarray,
     concurrence: np.ndarray | None,
-    blocks: list[Block],
     rng: np.random.Generator,
     stop_at_dead_end: bool = False,
 ) -> int:
-    """Draw and commit blocks len(blocks)..stop-1 in place; returns the rejected count.
+    """Draw rows start.. of ids in place, updating the tallies; returns the rejected count.
 
     concurrence is the running pair tally, which only nb1's pair check
     reads; the other kinds pass None.  nb1 discards any candidate that
     would let a pair of posters meet twice and raises _RestartSignal once
     a single block has collected config.max_attempts consecutive
-    discards.  With stop_at_dead_end it raises NB1InfeasibleBudget at the
-    first discard that every later attempt would repeat.
+    discards.  stop_at_dead_end is for extend, which may not restart: it
+    raises NB1InfeasibleBudget in place of _RestartSignal, and already at
+    the first discard that every later attempt would repeat.
     """
     rejected = 0
-    for index in range(len(blocks), stop):
+    for index in range(start, ids.shape[0]):
         discards = 0
         while True:
             if kind is GeneratorKind.RANDOM:
@@ -217,8 +203,19 @@ def _append_blocks(
                         f"{a} and {b} among them have already met; an nb2 continuation can finish the session"
                     )
             if discards >= config.max_attempts:
+                if stop_at_dead_end:
+                    raise NB1InfeasibleBudget(
+                        f"no pair-compatible block found after {config.max_attempts} attempts while extending "
+                        f"block {index} at t={config.t}, k={config.k}"
+                    )
                 raise _RestartSignal(rejected)
-        _commit(index, members, config.faculty_blocks, replication, concurrence, blocks)
+        ids[index] = members
+        for position, a in enumerate(members):
+            replication[a] += 1
+            if concurrence is not None:
+                for b in members[position + 1 :]:
+                    concurrence[a, b] += 1
+                    concurrence[b, a] += 1
     return rejected
 
 
@@ -249,9 +246,9 @@ def generate(
     while True:
         replication = np.zeros(config.t, dtype=np.int64)
         concurrence = np.zeros((config.t, config.t), dtype=np.int64) if kind is GeneratorKind.NB1 else None
-        blocks: list[Block] = []
+        ids = np.empty((config.b, config.k), dtype=np.int64)
         try:
-            rejected_total += _append_blocks(config, kind, config.b, replication, concurrence, blocks, rng)
+            rejected_total += _append_blocks(config, kind, ids, 0, replication, concurrence, rng)
         except _RestartSignal as signal:
             rejected_total += signal.rejected
             restarts += 1
@@ -261,7 +258,7 @@ def generate(
                     f"a pairwise-concurrence-1 design likely does not exist for these parameters"
                 ) from None
             continue
-        design = Design(config, tuple(blocks), replication)
+        design = Design(config, ids)
         return design, GenerationTrace(restarts=restarts, rejected_blocks=rejected_total, seed_used=config.seed)
 
 
@@ -278,7 +275,8 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     phase, every least-reviewed stratum it touched taken whole), since
     every later attempt would draw the same posters.  Only nb1 forms the
     pair tally, as a working copy for its pair check; nb2 and random
-    never read it.
+    never read it.  The result's id array is new, its first rows a copy
+    of design.ids; appended block j is faculty when j < faculty_blocks.
     """
     kind = GeneratorKind(kind)
     if additional_blocks < 0:
@@ -286,20 +284,12 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     if additional_blocks == 0:
         return design
 
-    config = design.config
+    config = replace(design.config, b=design.b + additional_blocks)
     start = design.b
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, start])))
+    ids = np.empty((config.b, config.k), dtype=np.int64)
+    ids[:start] = design.ids
     replication = design.replication.copy()
     concurrence = design.concurrence.copy() if kind is GeneratorKind.NB1 else None
-    blocks = list(design.blocks)
-    try:
-        _append_blocks(
-            config, kind, start + additional_blocks, replication, concurrence, blocks, rng, stop_at_dead_end=True
-        )
-    except _RestartSignal:
-        raise NB1InfeasibleBudget(
-            f"no pair-compatible block found after {config.max_attempts} attempts while extending "
-            f"block {len(blocks)} at t={config.t}, k={config.k}"
-        ) from None
-    new_config = replace(config, b=start + additional_blocks)
-    return Design(new_config, tuple(blocks), replication)
+    _append_blocks(config, kind, ids, start, replication, concurrence, rng, stop_at_dead_end=True)
+    return Design(config, ids)

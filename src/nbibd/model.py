@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ._util import FileFormatError, format_float, parse_float, parse_int, read_csv, write_csv
-from .design import Design, _prefix_connected_flags
+from .design import Design
 
 __all__ = [
     "ScoreTable",
@@ -117,12 +117,13 @@ class ScoreTable:
         scores = np.array([row[2] for row in rows], dtype=np.float64)
         table = cls(judges, posters, scores, t=t, b=b)
         if design is not None:
-            incident = {
-                (block.judge_index, poster) for block in design.blocks for poster in block.poster_ids
-            }
-            for judge, poster in zip(table.judges, table.posters):
-                if (int(judge), int(poster)) not in incident:
-                    raise ValueError(f"observation (judge {judge}, poster {poster}) is not in the design")
+            # judge * base + poster, with base above every poster id on either side
+            base = max(t, design.t)
+            incident = np.arange(design.b)[:, None] * base + design.ids
+            outside = np.flatnonzero(~np.isin(table.judges * base + table.posters, incident))
+            if outside.size:
+                judge, poster = table.judges[outside[0]], table.posters[outside[0]]
+                raise ValueError(f"observation (judge {judge}, poster {poster}) is not in the design")
         return table
 
     @classmethod
@@ -131,14 +132,8 @@ class ScoreTable:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != (design.t, design.b):
             raise ValueError(f"matrix shape {matrix.shape} does not match (t={design.t}, b={design.b})")
-        judges = np.empty(design.b * design.k, dtype=np.int64)
-        posters = np.empty(design.b * design.k, dtype=np.int64)
-        cursor = 0
-        for block in design.blocks:
-            for poster in block.poster_ids:
-                judges[cursor] = block.judge_index
-                posters[cursor] = poster
-                cursor += 1
+        judges = np.repeat(np.arange(design.b), design.k)
+        posters = design.ids.ravel()
         return cls(judges, posters, matrix[posters, judges], t=design.t, b=design.b)
 
 
@@ -289,12 +284,6 @@ def _fit_result(
     )
 
 
-def _posters_by_judge(scores: ScoreTable) -> list[list[int]]:
-    order = np.argsort(scores.judges, kind="stable")
-    cuts = np.flatnonzero(np.diff(scores.judges[order])) + 1
-    return [group.tolist() for group in np.split(scores.posters[order], cuts)]
-
-
 @dataclass(frozen=True)
 class _Solve:
     """The GLS normal equations solved at one theta.
@@ -332,7 +321,9 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     A candidate theta costs O(b), and the winner's estimates and
     diag(C^-1) need no factorization and no p-by-p inverse.  theta = inf
     is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
-    them, which makes C^-1 a generalized inverse of the singular C(inf).
+    them, which makes C^-1 a generalized inverse of the singular C(inf);
+    M has one null eigenvalue per connected set of judges, and the solve
+    raises DisconnectedDesign when there is more than one.
     With B = D^-1/2 N S^1/2, D^-1/2 C D^-1/2 = I - BB' has no eigenvalue
     above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
     + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
@@ -355,9 +346,14 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
 
     def solve(theta: float) -> _Solve:
         if math.isinf(theta):
+            skip = int(null.sum())
+            if skip > 1:
+                raise DisconnectedDesign(
+                    "the observed co-review graph is not connected; poster contrasts are not estimable"
+                )
             gain = np.divide(1.0, mu, out=np.zeros_like(mu), where=~null)
             logdet = math.inf
-            root, skip = np.sqrt(1.0 / terms.sizes), int(null.sum())
+            root = np.sqrt(1.0 / terms.sizes)
         else:
             gain = theta / (1.0 + theta * mu)
             logdet = log_counts + float(np.log1p(theta * mu).sum())
@@ -390,21 +386,18 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     is then set so the judge effects sum to zero, which makes the
     estimates mu + P_i, and the standard errors come from the same
     contrast, on which every generalized inverse agrees.  Needs a
-    connected observed co-review graph.  Posters without observations
+    connected observed co-review graph (one null eigenvalue in the judge
+    spectrum).  Posters without observations
     receive NaN estimates and rank 0 rather than failing the whole fit.
     """
     _check_table(design, scores)
-    if not _prefix_connected_flags(scores.t, _posters_by_judge(scores))[-1]:
-        raise DisconnectedDesign(
-            "the observed co-review graph is not connected; poster contrasts are not estimable"
-        )
     terms = _block_terms(scores)
+    solved = _spectral_solver(terms)(math.inf)
     b_r = terms.sizes.size
     dof = terms.n - terms.p - b_r + 1
     if dof < 1:
         raise SingularFit("no residual degrees of freedom for the error variance")
     inv_sizes = 1.0 / terms.sizes
-    solved = _spectral_solver(terms)(math.inf)
     tau, diagonal, inverse, smallest = solved.solution()
     sigma2 = max(solved.rss, 0.0) / dof
 

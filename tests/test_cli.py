@@ -1,6 +1,7 @@
 """End-to-end command-line checks driven through cli.main."""
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ from nbibd import (
     GeneratorKind,
     IterationResult,
     ScoreTable,
+    SimParams,
     extend,
     read_design,
+    run_iteration,
     write_design,
     write_metrics,
     write_scores,
 )
 from nbibd.cli import main
 from nbibd.design import Block, Design, DesignConfig
+
+design_module = importlib.import_module("nbibd.design")
 
 GEN = ["generate", "--posters", "30", "--block-size", "4", "--judges", "12"]
 
@@ -161,6 +166,40 @@ def test_extend_without_seed_exits_two(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_short_faculty_prefix_extends_through_a_file(tmp_path, capsys):
+    # 2 of b_min=5 faculty blocks: the file reads back as still inside the
+    # default faculty phase, so the extension flags blocks 2-4 as well
+    path = str(tmp_path / "design.csv")
+    run(capsys, ["generate", "--posters", "20", "--block-size", "5", "--judges", "2",
+                 "--kind", "nb2", "--seed", "3", "--out", path])
+    run(capsys, ["extend", "--design", path, "--blocks", "4", "--kind", "nb2", "--seed", "3", "--out", path])
+    captured = run(capsys, ["validate", path, "--kind", "nb2"])
+    assert "faculty_ok=true" in captured.out
+
+
+def test_production_paths_build_no_block(tmp_path, capsys, monkeypatch):
+    # generate -> extend -> validate -> score through the CLI, and one
+    # study iteration, work on the design's id array alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Block was built")
+
+    monkeypatch.setattr(design_module, "Block", refuse)
+    path = str(tmp_path / "design.csv")
+    run(capsys, GEN + ["--kind", "nb2", "--seed", "7", "--out", path])
+    run(capsys, ["extend", "--design", path, "--blocks", "3", "--kind", "nb2", "--seed", "7", "--out", path])
+    run(capsys, ["validate", path, "--kind", "nb2"])
+    design = read_design(path)
+    scores = str(tmp_path / "scores.csv")
+    write_scores(scores, ScoreTable.from_design_matrix(design, np.random.default_rng(1).normal(70.0, 8.0, (30, 15))))
+    for model in ("fixed", "random"):
+        run(capsys, ["score", "--design", path, "--scores", scores, "--model", model,
+                     "--out", str(tmp_path / f"{model}.csv")])
+    result = run_iteration(SimParams(t=20, b=12, k=4, awards=3, iterations=1, seed=1), 0)
+    assert not result.failures
+    with pytest.raises(AssertionError, match="Block"):
+        design.blocks
 
 
 def test_score_complete_block_recovers_raw_means(tmp_path, capsys):

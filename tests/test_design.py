@@ -154,6 +154,17 @@ def test_from_blocks_rejects_malformed_blocks():
         Design.from_blocks(config, [good, Block(1, (2, 2), False)])
     with pytest.raises(ValueError):
         Design.from_blocks(config, [good, Block(1, (2, 4), False)])
+    with pytest.raises(ValueError, match="leading run"):
+        Design.from_blocks(config, [good, Block(1, (2, 3), True)])
+
+
+@pytest.mark.parametrize("b", [5, 12])
+def test_from_blocks_rebuilds_a_design_from_its_blocks(b):
+    # b=5 is all faculty (b_min=7), b=12 has a non-faculty tail
+    design, _ = generate(DesignConfig(t=20, k=4, b=b, seed=2), "nb2")
+    rebuilt = Design.from_blocks(design.config, design.blocks)
+    assert rebuilt.blocks == design.blocks
+    assert rebuilt.config == design.config
 
 
 def test_recount_matches_incremental_tallies():

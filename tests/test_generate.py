@@ -22,7 +22,7 @@ from nbibd import (
     write_design,
 )
 from nbibd.cli import main
-from nbibd.design import Design
+from nbibd.design import Block, Design
 from tally_oracle import tallies_match_oracle
 
 # the package re-exports the function generate under the module's name
@@ -207,8 +207,6 @@ def test_extend_by_zero_is_identity():
 def test_extend_random_resumes_pool_phase():
     # a 2-block design leaving posters 10..12 unreviewed: the first
     # appended block must contain all three
-    from nbibd.design import Block, Design
-
     config = DesignConfig(t=13, k=5, b=2, seed=6)
     base = Design.from_blocks(
         config,
@@ -270,6 +268,67 @@ def test_nb2_arrival_forms_no_pair_tally(tmp_path, monkeypatch):
     assert read_design(str(path)).blocks[:15] == grown.blocks
     with pytest.raises(AssertionError, match="pair tally"):
         validate(grown)
+
+
+# t=40, k=5 has b_min=10: b=8 stays inside the default faculty phase
+# (and still lets random cover every poster), b=10 ends at it and b=13
+# runs past it
+@pytest.mark.parametrize("kind", ["nb1", "nb2", "random"])
+@pytest.mark.parametrize("b", [8, 10, 13])
+@pytest.mark.parametrize("faculty_count", [None, 3])
+def test_extending_a_read_back_file_matches_extending_in_memory(tmp_path, kind, b, faculty_count):
+    config = DesignConfig(t=40, k=5, b=b, seed=21, faculty_count=faculty_count)
+    design, _ = generate(config, kind)
+    path = tmp_path / "design.csv"
+    write_design(str(path), design)
+    read_back = read_design(str(path), t=config.t, seed=config.seed)
+    assert read_back.config == config
+
+    def extended_digest(start):
+        # an nb1 continuation may reach a dead end; both paths must then
+        # reach the same one
+        try:
+            return design_digest(tmp_path, extend(start, 4, kind))
+        except NB1InfeasibleBudget as error:
+            return str(error)
+
+    assert extended_digest(read_back) == extended_digest(design)
+
+
+def test_read_design_cannot_record_a_faculty_count_past_the_last_block(tmp_path):
+    # every block of such a file is flagged, which reads back as the
+    # default phase below b_min and as b from b_min on
+    path = tmp_path / "design.csv"
+    for b, faculty_count, read_as in ((8, 9, None), (8, 8, None), (12, 15, 12)):
+        design, _ = generate(DesignConfig(t=40, k=5, b=b, seed=21, faculty_count=faculty_count), "nb2")
+        write_design(str(path), design)
+        assert read_design(str(path)).config.faculty_count == read_as
+
+
+def test_from_blocks_without_faculty_flags_extends_without_them(tmp_path):
+    # two unflagged blocks below b_min: the design has no faculty phase,
+    # so neither the extension nor its file flags any block
+    config = DesignConfig(t=20, k=5, b=2, seed=3)
+    base = Design.from_blocks(config, [Block(0, (0, 1, 2, 3, 4), False), Block(1, (4, 5, 6, 7, 8), False)])
+    assert base.config.faculty_count == 0
+    path = tmp_path / "design.csv"
+    write_design(str(path), extend(base, 4, "nb2"))
+    assert not any(block.faculty for block in read_design(str(path)).blocks)
+
+
+def test_ids_are_read_only_on_every_path(tmp_path):
+    design, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), "nb2")
+    before = design.ids.copy()
+    extended = extend(design, 3, "nb2")
+    path = tmp_path / "design.csv"
+    write_design(str(path), extended)
+    rebuilt = Design.from_blocks(design.config, design.blocks)
+    for built in (design, extended, rebuilt, read_design(str(path))):
+        assert not built.ids.flags.writeable
+        with pytest.raises(ValueError):
+            built.ids[0, 0] = 1
+    assert np.array_equal(design.ids, before)
+    assert not design.ids.flags.writeable
 
 
 def test_extend_rejects_negative():

@@ -208,6 +208,16 @@ def test_disconnected_design_fails_fixed_but_not_random():
             assert observed.min() - 1e-9 <= fit.pmm[poster] <= observed.max() + 1e-9
 
 
+def test_disconnection_is_reported_before_missing_degrees_of_freedom():
+    # two judges, two posters each, fully scored: no residual degrees of
+    # freedom either, but the disconnection is the reason given
+    config = DesignConfig(t=4, k=2, b=2, seed=0)
+    design = Design.from_blocks(config, [Block(0, (0, 1), False), Block(1, (2, 3), False)])
+    table = ScoreTable.from_design_matrix(design, np.arange(8.0).reshape(4, 2))
+    with pytest.raises(DisconnectedDesign):
+        fit_fixed(design, table)
+
+
 def test_profiled_criterion_matches_dense_matrix_evaluation():
     design, table = sample_table(5)
     for theta in (0.0, 0.1, 0.7, 3.0, 20.0):
@@ -666,8 +676,8 @@ def test_from_observations_checks_design_incidence():
     table = ScoreTable.from_observations(rows, t=4, b=2, design=design)
     assert table.n == 4
     with pytest.raises(ValueError) as excinfo:
-        ScoreTable.from_observations([(0, 2, 5.0)], t=4, b=2, design=design)
-    assert "not in the design" in str(excinfo.value)
+        ScoreTable.from_observations([(0, 0, 5.0), (0, 2, 5.0), (1, 0, 5.0)], t=4, b=2, design=design)
+    assert str(excinfo.value) == "observation (judge 0, poster 2) is not in the design"
 
 
 def test_from_design_matrix_rejects_wrong_shape():
