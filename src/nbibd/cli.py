@@ -31,7 +31,7 @@ from .simulate import (
     aggregate_results,
     present_kinds,
     read_metrics,
-    run_study,
+    run_iterations,
     write_histogram,
     write_metrics,
     write_summary,
@@ -217,9 +217,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     }
     overrides = {name: value for name, value in overrides.items() if value is not None}
     params = dataclasses.replace(params, **overrides)
-    report = run_study(params)
-    write_metrics(args.out, report.results)
-    failures = sum(report.failure_counts.values())
+    # the metrics file and the failure count need no summary tables
+    results = run_iterations(params)
+    write_metrics(args.out, results)
+    failures = sum(len(result.failures) for result in results)
     designs = ",".join(kind.value for kind in params.designs)
     print(
         f"command=simulate preset={args.preset} iterations={params.iterations} "

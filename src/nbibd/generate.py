@@ -12,6 +12,13 @@ random baseline only guarantees coverage: it drains the unreviewed pool,
 then samples blocks uniformly.  Blocks are drawn into the rows of a
 preallocated (b, k) poster-id array, which becomes the Design; block j
 is a faculty block when j < config.faculty_blocks.
+
+Work whose answer is known is skipped, never the random draws: the
+review-count strata are built once per block and shared by its rejected
+draws, and an nb1 block whose every draw must take the same conflicting
+posters makes only the rng.choice calls of its remaining attempts
+before it restarts.  The stream, every design and every trace are those
+of drawing each attempt in full.
 """
 
 from __future__ import annotations
@@ -65,69 +72,93 @@ def _new_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _draw_anchor(replication: np.ndarray, r_f: int, rng: np.random.Generator) -> int:
-    """First slot of a faculty-phase block: a reviewed poster, weighted by remaining capacity.
+def _strata(replication: np.ndarray, k: int) -> list[np.ndarray]:
+    """Posters grouped by review count, least-reviewed group first, each in ascending id order.
+
+    Built once per block; every draw for the block, accepted or
+    rejected, reads the same groups.  A draw never reads past a group of
+    k or more posters, so when the least-reviewed group is that large it
+    is the only one built; otherwise one stable argsort builds them all.
+    """
+    lowest = np.flatnonzero(replication == replication.min())
+    if lowest.size >= k:
+        return [lowest]
+    order = np.argsort(replication, kind="stable")
+    ends = np.cumsum(np.bincount(replication)).tolist()
+    return [order[low:high] for low, high in zip([0, *ends[:-1]], ends) if high > low]
+
+
+def _anchor_pool(replication: np.ndarray, r_f: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The reviewed posters a faculty-phase block may anchor on, and their draw probabilities.
 
     Weight r_f - r_i; posters already at the cap are excluded.  Should
     every reviewed poster sit at the cap (possible only for degenerate
-    shapes, never at realistic session sizes before block b_min), fall
-    back to a uniform draw so the algorithm stays total.
+    shapes, never at realistic session sizes before block b_min), the
+    probabilities are None and the anchor is drawn uniformly, so the
+    algorithm stays total.  Built once per block.
     """
     reviewed = np.flatnonzero(replication > 0)
     weights = (r_f - replication[reviewed]).astype(np.float64)
     weights[weights < 0.0] = 0.0
     total = weights.sum()
-    if total <= 0.0:
-        return int(rng.choice(reviewed))
-    return int(rng.choice(reviewed, p=weights / total))
+    return reviewed, (weights / total if total > 0.0 else None)
 
 
 def _fill_least_reviewed(
-    replication: np.ndarray,
+    strata: list[np.ndarray],
     members: list[int],
     k: int,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Complete a block by sampling from the least-reviewed stratum upward."""
+    """Complete a block by sampling from the least-reviewed stratum upward.
+
+    members is empty or holds the anchor, which its stratum then offers
+    no more; each stratum is taken whole until the last one, sampled.
+    """
     chosen = list(members)
-    available = np.ones(replication.shape[0], dtype=bool)
-    available[chosen] = False
     need = k - len(chosen)
-    while need > 0:
-        level = replication[available].min()
-        candidates = np.flatnonzero(available & (replication == level))
-        take = min(need, candidates.size)
-        picks = rng.choice(candidates, size=take, replace=False)
-        chosen.extend(int(p) for p in picks)
-        available[picks] = False
-        need -= take
+    for stratum in strata:
+        if need == 0:
+            break
+        if members:
+            stratum = stratum[stratum != members[0]]
+        take = min(need, stratum.size)
+        if take:
+            chosen.extend(rng.choice(stratum, size=take, replace=False).tolist())
+            need -= take
     return chosen
 
 
 def _draw_block(
     index: int,
     config: DesignConfig,
-    replication: np.ndarray,
+    strata: list[np.ndarray] | None,
+    anchors: tuple[np.ndarray, np.ndarray | None] | None,
     rng: np.random.Generator,
 ) -> list[int]:
+    """One candidate near-balanced block: block 0 is uniform, a faculty-phase block starts with an anchor."""
     if index == 0:
-        return [int(p) for p in rng.choice(config.t, size=config.k, replace=False)]
+        return rng.choice(config.t, size=config.k, replace=False).tolist()
     members: list[int] = []
-    if index < config.b_min:
-        members.append(_draw_anchor(replication, config.r_f, rng))
-    return _fill_least_reviewed(replication, members, config.k, rng)
+    if anchors is not None:
+        reviewed, probabilities = anchors
+        members.append(int(rng.choice(reviewed, p=probabilities)))
+    return _fill_least_reviewed(strata, members, config.k, rng)
 
 
 def _draw_random_block(config: DesignConfig, replication: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """Random-baseline block: drain the unreviewed pool first, then sample uniformly."""
+    """Random-baseline block: drain the unreviewed pool first, then sample uniformly.
+
+    The baseline never rejects a block, so this set-up runs once per block.
+    """
     unreviewed = np.flatnonzero(replication == 0)
     if unreviewed.size == 0:
-        return [int(p) for p in rng.choice(config.t, size=config.k, replace=False)]
+        return rng.choice(config.t, size=config.k, replace=False).tolist()
     take = min(config.k, unreviewed.size)
-    members = [int(p) for p in rng.choice(unreviewed, size=take, replace=False)]
+    members = rng.choice(unreviewed, size=take, replace=False).tolist()
     if take < config.k:
         reviewed = np.flatnonzero(replication > 0)
-        members.extend(int(p) for p in rng.choice(reviewed, size=config.k - take, replace=False))
+        members.extend(rng.choice(reviewed, size=config.k - take, replace=False).tolist())
     return members
 
 
@@ -161,6 +192,26 @@ def _forced_conflict(
     return None
 
 
+def _replay_forced_draws(strata: list[np.ndarray], k: int, attempts: int, rng: np.random.Generator) -> None:
+    """Advance rng as `attempts` more draws of a forced block would, without building them.
+
+    Each such draw takes the least-reviewed strata whole, up to k
+    posters, with one rng.choice per stratum; these are the same calls
+    with the same arguments, so the stream ends where the draws would
+    have left it.
+    """
+    taken: list[np.ndarray] = []
+    count = 0
+    for stratum in strata:
+        if count == k:
+            break
+        taken.append(stratum)
+        count += stratum.size
+    for _ in range(attempts):
+        for stratum in taken:
+            rng.choice(stratum, size=stratum.size, replace=False)
+
+
 def _append_blocks(
     config: DesignConfig,
     kind: GeneratorKind,
@@ -174,34 +225,50 @@ def _append_blocks(
     """Draw rows start.. of ids in place, updating the tallies; returns the rejected count.
 
     concurrence is the running pair tally, which only nb1's pair check
-    reads; the other kinds pass None.  nb1 discards any candidate that
-    would let a pair of posters meet twice and raises _RestartSignal once
-    a single block has collected config.max_attempts consecutive
-    discards.  stop_at_dead_end is for extend, which may not restart: it
-    raises NB1InfeasibleBudget in place of _RestartSignal, and already at
-    the first discard that every later attempt would repeat.
+    reads; the other kinds pass None.  The strata and anchor pool of a
+    near-balanced block are built once, before its first draw, since the
+    tallies only change when a block is accepted.  nb1 discards any
+    candidate that would let a pair of posters meet twice and raises
+    _RestartSignal once a single block has collected config.max_attempts
+    consecutive discards.  A discard past the faculty phase whose strata
+    were all taken whole is forced: every later attempt would draw the
+    same posters and meet the same pair.  Then the remaining attempts
+    only replay their rng.choice calls, count as discards, and
+    _RestartSignal follows at once, leaving the stream, the count and the
+    restart exactly where the full loop would.  stop_at_dead_end is for
+    extend, which may not restart: it raises NB1InfeasibleBudget in place
+    of _RestartSignal, and already at a forced discard.
     """
     rejected = 0
+    b_min = config.b_min
     for index in range(start, ids.shape[0]):
+        strata = anchors = None
+        if kind is not GeneratorKind.RANDOM and index > 0:
+            strata = _strata(replication, config.k)
+            if index < b_min:
+                anchors = _anchor_pool(replication, config.r_f)
         discards = 0
         while True:
             if kind is GeneratorKind.RANDOM:
                 members = _draw_random_block(config, replication, rng)
             else:
-                members = _draw_block(index, config, replication, rng)
+                members = _draw_block(index, config, strata, anchors, rng)
             if kind is not GeneratorKind.NB1 or not _pair_conflict(concurrence, members):
                 break
             rejected += 1
             discards += 1
-            if stop_at_dead_end and index >= config.b_min:
-                forced = _forced_conflict(replication, concurrence, members, config.k)
-                if forced is not None:
+            forced = _forced_conflict(replication, concurrence, members, config.k) if index >= b_min else None
+            if forced is not None:
+                if stop_at_dead_end:
                     level, a, b = forced
                     raise NB1InfeasibleBudget(
                         f"nb1 cannot extend block {index} at t={config.t}, k={config.k}: every draw takes the "
                         f"same {config.k} least-reviewed posters (review count at most {level}), and posters "
                         f"{a} and {b} among them have already met; an nb2 continuation can finish the session"
                     )
+                remaining = config.max_attempts - discards
+                _replay_forced_draws(strata, config.k, remaining, rng)
+                raise _RestartSignal(rejected + remaining)
             if discards >= config.max_attempts:
                 if stop_at_dead_end:
                     raise NB1InfeasibleBudget(

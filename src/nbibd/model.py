@@ -146,9 +146,11 @@ class FitResult:
     var_judge is NaN for the fixed model, whose judge effects are not
     variance components.  condition_number is 1/lambda_min of the
     replication-scaled poster information matrix D^-1/2 C D^-1/2 at the
-    estimated theta; the fixed model's, at theta = inf without the null
-    eigenvalue, is 1 over the least canonical efficiency factor.  Either
-    fit raises SingularFit when it exceeds 1e12.
+    estimated theta: exactly 1 + theta*k for a random fit whose judges
+    all have size k, and at most 1 + theta*max(k_j) for any random fit.
+    The fixed model's, at theta = inf without the null eigenvalue, is 1
+    over the least canonical efficiency factor.  Either fit raises
+    SingularFit when it exceeds 1e12.
     """
 
     model_kind: str
@@ -328,6 +330,9 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
     + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
     diag(1/k) and it skips as many null eigenvalues as M has (Sylvester).
+    When every judge has the same size k and theta is finite, S^1/2 M
+    S^1/2 is a multiple of M, positive semidefinite with a null vector,
+    so the least is 1/(1 + theta k) exactly and no eigvalsh runs.
     """
     scaled = terms.incidence / terms.counts[:, None]
     judge_matrix = np.diag(terms.sizes) - terms.incidence.T @ scaled
@@ -343,6 +348,7 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     delta_sq = delta * delta
     rss_zero = terms.q0 - float(terms.v0 @ means)
     log_counts = float(np.log(terms.counts).sum())
+    equal_sizes = terms.sizes.min() == terms.sizes.max()
 
     def solve(theta: float) -> _Solve:
         if math.isinf(theta):
@@ -361,12 +367,16 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
 
         def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]:
             spread = scaled @ basis
-            system = np.diag(1.0 / (1.0 + theta * terms.sizes)) + root[:, None] * judge_matrix * root
+            if equal_sizes and not math.isinf(theta):
+                least = 1.0 / (1.0 + theta * float(terms.sizes[0]))
+            else:
+                system = np.diag(1.0 / (1.0 + theta * terms.sizes)) + root[:, None] * judge_matrix * root
+                least = float(np.linalg.eigvalsh(system)[skip])
             return (
                 means - spread @ (gain * delta),
                 1.0 / terms.counts + (spread * spread) @ gain,
                 lambda vector: vector / terms.counts + spread @ (gain * (spread.T @ vector)),
-                float(np.linalg.eigvalsh(system)[skip]),
+                least,
             )
 
         return _Solve(theta, rss_zero - float(gain @ delta_sq), logdet, solution)

@@ -41,6 +41,7 @@ __all__ = [
     "SimStudyReport",
     "synthesize_scores",
     "run_iteration",
+    "run_iterations",
     "run_study",
     "summarize_differences",
     "write_metrics",
@@ -268,26 +269,33 @@ def _worker_count(params: SimParams, workers: int | None) -> int:
     return max(1, min(workers, params.iterations))
 
 
-def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:
-    """Run all iterations and aggregate.
+def run_iterations(params: SimParams, workers: int | None = None) -> list[IterationResult]:
+    """Run all iterations, serially or on a pool, and return them in iteration order.
 
     workers = None consults NBIBD_THREADS (0 or unset = one worker per
     CPU).  Results are identical for any worker count because each
-    iteration owns its deterministic sub-streams and aggregation runs
-    in iteration order.
+    iteration owns its deterministic sub-streams.
     """
     count = _worker_count(params, workers)
     if count == 1:
-        results = [run_iteration(params, index) for index in range(params.iterations)]
-    else:
-        tasks = [(params, index) for index in range(params.iterations)]
-        try:
-            context = get_context("fork")
-        except ValueError:
-            context = get_context()
-        chunk = max(1, params.iterations // (count * 8))
-        with context.Pool(count) as pool:
-            results = list(pool.imap(_iteration_task, tasks, chunksize=chunk))
+        return [run_iteration(params, index) for index in range(params.iterations)]
+    tasks = [(params, index) for index in range(params.iterations)]
+    try:
+        context = get_context("fork")
+    except ValueError:
+        context = get_context()
+    chunk = max(1, params.iterations // (count * 8))
+    with context.Pool(count) as pool:
+        return list(pool.imap(_iteration_task, tasks, chunksize=chunk))
+
+
+def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:
+    """Run all iterations and aggregate them in iteration order.
+
+    workers is as for run_iterations; the report is identical for any
+    worker count.
+    """
+    results = run_iterations(params, workers)
     aggregates = aggregate_results(results, params.designs)
     return SimStudyReport(params=params, results=tuple(results), **aggregates)
 

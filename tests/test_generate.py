@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nbibd import (
 )
 from nbibd.cli import main
 from nbibd.design import Block, Design
+from draw_oracle import OracleRestart, append_blocks, oracle_generate
 from tally_oracle import tallies_match_oracle
 
 # the package re-exports the function generate under the module's name
@@ -386,6 +388,32 @@ def test_designs_keep_their_bytes(tmp_path, kind, seed):
     assert (design_digest(tmp_path, design), design_digest(tmp_path, extend(design, 5, kind))) == GOLDEN[kind, seed]
 
 
+# nb1 at the paper's shape, t=200, k=5, b=100: seed 3 restarts once and
+# seed 18 twice, each time at a forced dead end, so these pin the bytes
+# of designs drawn after a restart; trace, design digest and the digest
+# of the design extended by 5 nb1 blocks
+RESTART_GOLDEN = {
+    3: (
+        GenerationTrace(restarts=1, rejected_blocks=521, seed_used=3),
+        "56e1983e5c4cdb8273a186d0d8ef6353b22eef7398a3bbc41db8ce2a29bec502",
+        "8ead03a4b0add80dba492c46b6abd49061854e471aa72a4cca9dcb8120bba6a1",
+    ),
+    18: (
+        GenerationTrace(restarts=2, rejected_blocks=1031, seed_used=18),
+        "0d76d73109850c709e10f4e83c78d152113b7613d8bb147fd5f05ef9660abc78",
+        "5d0f7b3664eb697b4df341af98fb659c3e5f4ecfea2f0776834b4e75fedf7ec5",
+    ),
+}
+PAPER_SHAPE = dict(t=200, k=5, b=100)
+
+
+@pytest.mark.parametrize("seed", sorted(RESTART_GOLDEN))
+def test_restarted_nb1_designs_keep_their_bytes(tmp_path, seed):
+    design, trace = generate(DesignConfig(seed=seed, **PAPER_SHAPE), "nb1")
+    extended = extend(design, 5, "nb1")
+    assert (trace, design_digest(tmp_path, design), design_digest(tmp_path, extended)) == RESTART_GOLDEN[seed]
+
+
 def test_random_extension_of_an_uncovered_design_keeps_its_bytes(tmp_path):
     # 7 nb2 blocks leave 18 of 40 posters unreviewed, so the appended
     # random blocks drain the pool and then top up from reviewed posters
@@ -479,3 +507,102 @@ def test_tallies_match_the_brute_force_oracle(tmp_path_factory, config, kind, ex
     read_back = read_design(str(path), t=design.t + pad)
     assert read_back.t == design.t + pad
     assert tallies_match_oracle(read_back)
+
+
+def captured_stream(monkeypatch):
+    """Record the generator every generate() call draws from; returns the list it fills."""
+    streams = []
+    new_stream = generate_module._new_stream
+
+    def recording(seed):
+        streams.append(new_stream(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(generate_module, "_new_stream", recording)
+    return streams
+
+
+def matches_oracle(config, kind, monkeypatch, restart_budget=50):
+    """True when generate() and the per-attempt oracle agree on ids, trace and final stream state."""
+    streams = captured_stream(monkeypatch)
+    expected = oracle_generate(config, kind, restart_budget)
+    try:
+        design, trace = generate(config, kind, restart_budget=restart_budget)
+    except NB1InfeasibleBudget:
+        return expected is None
+    if expected is None:
+        return False
+    ids, restarts, rejected, rng = expected
+    return (
+        np.array_equal(design.ids, ids)
+        and trace == GenerationTrace(restarts, rejected, config.seed)
+        and streams[-1].bit_generator.state == rng.bit_generator.state
+    )
+
+
+# posters 0-2 are the only ones below review count 2 and 0 and 1 have
+# met, so every draw of the next block takes 0, 1 and 2 and is rejected;
+# with poster 0 unreviewed the draw takes two strata whole
+@pytest.mark.parametrize("levels", [(1, 1, 1), (0, 1, 1)])
+def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, levels):
+    config = DesignConfig(t=9, k=3, b=6, seed=5, max_attempts=50)
+    start = config.b_min
+    assert start < config.b
+
+    def tallies():
+        replication = np.full(config.t, 2, dtype=np.int64)
+        replication[:3] = levels
+        concurrence = np.zeros((config.t, config.t), dtype=np.int64)
+        concurrence[0, 1] = concurrence[1, 0] = 1
+        return replication, concurrence, np.zeros((config.b, config.k), dtype=np.int64)
+
+    draws = []
+    draw_block = generate_module._draw_block
+
+    def counted(index, *args):
+        draws.append(index)
+        return draw_block(index, *args)
+
+    monkeypatch.setattr(generate_module, "_draw_block", counted)
+    replication, concurrence, ids = tallies()
+    fast = np.random.Generator(np.random.PCG64(config.seed))
+    with pytest.raises(generate_module._RestartSignal) as excinfo:
+        generate_module._append_blocks(config, GeneratorKind.NB1, ids, start, replication, concurrence, fast)
+    replication, concurrence, ids = tallies()
+    full = np.random.Generator(np.random.PCG64(config.seed))
+    with pytest.raises(OracleRestart) as oracle:
+        append_blocks(config, "nb1", ids, start, replication, concurrence, full)
+    assert draws == [start]
+    assert excinfo.value.rejected == oracle.value.rejected == config.max_attempts
+    assert fast.bit_generator.state == full.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", sorted(RESTART_GOLDEN))
+def test_paper_shape_restarts_match_the_per_attempt_oracle(monkeypatch, seed):
+    assert matches_oracle(DesignConfig(seed=seed, **PAPER_SHAPE), "nb1", monkeypatch)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=small_configs, kind=kinds, extra=st.integers(1, 4))
+def test_every_kind_draws_as_the_per_attempt_oracle(config, kind, extra):
+    # generate against the oracle; then extend against the oracle's block
+    # loop on extend's stream, which restarts exactly where extend gives up
+    if kind == "random" and config.b * config.k < config.t:
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert matches_oracle(config, kind, monkeypatch, restart_budget=3)
+    design = generated(config, kind)
+    if design is None:
+        return
+    grown = replace(config, b=config.b + extra)
+    ids = np.zeros((grown.b, grown.k), dtype=np.int64)
+    ids[: config.b] = design.ids
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, config.b])))
+    concurrence = design.concurrence.copy() if kind == "nb1" else None
+    try:
+        append_blocks(grown, kind, ids, config.b, design.replication.copy(), concurrence, rng)
+    except OracleRestart:
+        with pytest.raises(NB1InfeasibleBudget):
+            extend(design, extra, kind)
+    else:
+        assert np.array_equal(extend(design, extra, kind).ids, ids)

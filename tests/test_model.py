@@ -603,7 +603,10 @@ def test_condition_number_is_that_of_the_dense_poster_matrix(case, seed):
 
 def test_every_eigendecomposition_is_judge_sized(monkeypatch):
     # no poster-by-poster matrix reaches eigh or eigvalsh in either fit,
-    # including a table with more judges than reviewed posters
+    # including a table with more judges than reviewed posters; a random
+    # fit on equal judge sizes takes its condition in closed form, with
+    # no eigvalsh, and every other fit takes it from one more b_r x b_r
+    # eigvalsh after the eigh of the judge matrix
     shapes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -615,11 +618,17 @@ def test_every_eigendecomposition_is_judge_sized(monkeypatch):
         monkeypatch.setattr(f"nbibd.model.np.linalg.{name}", spy)
     cases = (sample_table(6), dropped_cells_table(6), sample_table(6, t=8, k=4, b=12, kind="nb2"))
     for design, table in cases:
-        b_r = np.unique(table.judges).size
+        sizes = np.unique(table.judges, return_counts=True)[1]
+        equal_sizes = sizes.min() == sizes.max()
         for fitter in (fit_fixed, fit_random):
             shapes.clear()
-            fitter(design, table)
-            assert shapes == [(b_r, b_r), (b_r, b_r)]
+            fit = fitter(design, table)
+            calls = 1 if fitter is fit_random and equal_sizes else 2
+            assert shapes == [(sizes.size, sizes.size)] * calls
+            if calls == 1:
+                theta = fit.var_judge / fit.var_error
+                assert fit.condition_number == pytest.approx(1.0 + theta * sizes[0], rel=1e-12)
+                assert fit.condition_number == pytest.approx(dense_scaled_condition(table, theta), rel=1e-12)
 
 
 def test_ill_conditioned_poster_matrix_is_singular(monkeypatch):

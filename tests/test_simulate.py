@@ -1,6 +1,7 @@
 """Study harness: score synthesis, per-iteration metrics, aggregation, CSV."""
 
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -26,6 +27,10 @@ from nbibd import (
     write_metrics,
     write_summary,
 )
+from nbibd.cli import main
+
+cli_module = importlib.import_module("nbibd.cli")
+simulate_module = importlib.import_module("nbibd.simulate")
 
 NB1, NB2, RANDOM = GeneratorKind.NB1, GeneratorKind.NB2, GeneratorKind.RANDOM
 
@@ -367,6 +372,25 @@ def test_study_files_keep_their_bytes(tmp_path):
     write_histogram(str(tmp_path / "hist.csv"), report.results, params.designs, bins=5)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in STUDY_GOLDEN}
     assert digests == STUDY_GOLDEN
+
+
+def test_simulate_command_builds_no_summary(tmp_path, capsys, monkeypatch):
+    # the metrics file and the failure count come straight from the
+    # iteration results, so the command must not aggregate them
+    params = small_params(iterations=6, seed=3)
+    failures = sum(run_study(params, workers=1).failure_counts.values())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built summary tables")
+
+    for module in (cli_module, simulate_module):
+        monkeypatch.setattr(module, "aggregate_results", refuse)
+    monkeypatch.setenv("NBIBD_THREADS", "1")
+    metrics = tmp_path / "metrics.csv"
+    argv = ["simulate", "--preset", "paper", "--posters", "40", "--judges", "18", "--awards", "8"]
+    assert main(argv + ["--iterations", "6", "--seed", "3", "--out", str(metrics)]) == 0
+    assert f" failures={failures} " in capsys.readouterr().out
+    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == STUDY_GOLDEN["metrics.csv"]
 
 
 def test_presets_pin_the_two_study_settings():
