@@ -10,6 +10,13 @@ A design is its read-only (b, k) array of poster ids, row j being judge
 j's block; block j is a faculty block when j < config.faculty_blocks.
 The tallies are bincounts over that array, and the t x t pair tally and
 the Block views are derived on first use.
+
+Connectivity follows two array rules.  Every prefix is connected iff
+each block j >= 1 holds a poster first seen before block j: by induction
+on prefixes, a block that shares a poster with a connected prefix joins
+its component and a block of unseen posters starts a new one.  One
+prefix is connected iff a connected_components pass over its
+judge-poster graph gives every judge the same label.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from ._util import FileFormatError, parse_bool, parse_int, read_csv, write_csv
 
@@ -163,12 +172,15 @@ class Design:
     reviews of poster i, concurrence[i, j] blocks containing both i and
     j (t x t, int64, zero diagonal), and blocks is one Block view per
     row.  recount() re-derives both tallies and must agree exactly.
+    Construction checks that ids is a (b, k) integer array whose rows
+    hold distinct posters in [0, t).
     """
 
     config: DesignConfig
     ids: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_ids(self.config, self.ids)
         self.ids.flags.writeable = False
 
     @classmethod
@@ -177,7 +189,10 @@ class Design:
         blocks = tuple(blocks)
         _check_blocks(config, blocks)
         faculty_count = _faculty_count(config, [block.faculty for block in blocks])
-        ids = np.array([block.poster_ids for block in blocks], dtype=np.int64)
+        try:
+            ids = np.array([block.poster_ids for block in blocks], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("poster ids must fit a 64-bit integer") from None
         return cls(replace(config, faculty_count=faculty_count), ids)
 
     @cached_property
@@ -210,12 +225,14 @@ class Design:
 class ValidationReport:
     """Structural summary of a design.
 
-    connected means every poster is reviewed and the co-review graph
-    forms a single component; all_prefixes_connected applies the
-    reviewed-posters-only rule to every prefix of the block sequence;
-    faculty_coverage_ok requires every poster to appear in at least one
-    faculty-flagged block once b reaches min_connect_blocks (vacuously
-    true for shorter designs).
+    connected means every poster is reviewed and is_connected holds for
+    the whole design; all_prefixes_connected applies the
+    reviewed-posters-only rule to every prefix of the block sequence,
+    which by induction on prefixes holds iff every block after the first
+    shares a poster with the blocks before it.  faculty_coverage_ok
+    requires every poster to appear in at least one faculty-flagged
+    block once b reaches min_connect_blocks (vacuously true for shorter
+    designs).
     """
 
     replication_spread: int
@@ -236,11 +253,27 @@ def _check_blocks(config: DesignConfig, blocks: Sequence[Block]) -> None:
             )
         if len(block.poster_ids) != config.k:
             raise ValueError(f"block {position} has {len(block.poster_ids)} posters, expected {config.k}")
-        if len(set(block.poster_ids)) != config.k:
-            raise ValueError(f"block {position} repeats a poster")
-        for poster in block.poster_ids:
-            if not 0 <= poster < config.t:
-                raise ValueError(f"block {position} references poster {poster} outside [0, {config.t})")
+
+
+def _check_ids(config: DesignConfig, ids: np.ndarray) -> None:
+    """ValueError unless ids is a (b, k) integer array whose rows hold distinct posters in [0, t).
+
+    The first faulty row is named, a repeat before an id out of range.
+    """
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
+        raise ValueError("ids must be a numpy array of integers that fit int64")
+    if ids.shape != (config.b, config.k):
+        raise ValueError(f"ids must have shape (b, k) = ({config.b}, {config.k}), got {ids.shape}")
+    ordered = np.sort(ids, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= config.t)
+    faulty = np.flatnonzero(repeats | outside)
+    if faulty.size:
+        row = int(faulty[0])
+        if repeats[row]:
+            raise ValueError(f"block {row} repeats a poster")
+        poster = ordered[row, 0] if ordered[row, 0] < 0 else ordered[row, -1]
+        raise ValueError(f"block {row} references poster {poster} outside [0, {config.t})")
 
 
 def _faculty_count(config: DesignConfig, flags: Sequence[bool]) -> int | None:
@@ -276,72 +309,27 @@ def recount(design: Design) -> tuple[np.ndarray, np.ndarray]:
     return _replication(design.t, design.ids), _concurrence(design.t, design.ids)
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def _prefix_connected_flags(t: int, groups: Iterable[Sequence[int]]) -> list[bool]:
-    """For every prefix of groups, whether the posters seen so far form one component.
-
-    Each group (a block, or one judge's observed posters) joins its
-    members.  Single incremental pass: edges only accumulate as the
-    prefix grows, so the component count among seen posters is
-    (#seen - #merges).
-    """
-    uf = _UnionFind(t)
-    seen = [False] * t
-    seen_count = 0
-    merges = 0
-    flags: list[bool] = []
-    for ids in groups:
-        for poster in ids:
-            if not seen[poster]:
-                seen[poster] = True
-                seen_count += 1
-        first = ids[0]
-        for other in ids[1:]:
-            if uf.union(first, other):
-                merges += 1
-        flags.append(seen_count - merges == 1)
-    return flags
-
-
 def is_connected(design: Design, prefix_len: int | None = None) -> bool:
     """True when the posters reviewed in the first prefix_len blocks form one component.
 
     Vertices are the posters with at least one review inside the prefix;
     edges join posters sharing a block.  Posters the prefix never touches
     are excluded, so a prefix can be connected before full coverage.
-    prefix_len defaults to the full design.
+    prefix_len defaults to the full design.  One connected_components
+    pass labels the prefix's judge-poster graph (judge j is node j, poster
+    i node prefix_len + i); the prefix is connected iff every judge has
+    the same label, and unreviewed posters, isolated nodes, never count.
     """
     b = design.b
     if prefix_len is None:
         prefix_len = b
     if not 1 <= prefix_len <= b:
         raise ValueError(f"prefix_len must be in [1, {b}], got {prefix_len}")
-    return _prefix_connected_flags(design.t, design.ids[:prefix_len].tolist())[-1]
+    nodes, edges = prefix_len + design.t, prefix_len * design.k
+    indptr = np.minimum(np.arange(nodes + 1) * design.k, edges)
+    graph = csr_array((np.ones(edges), design.ids[:prefix_len].ravel() + prefix_len, indptr), shape=(nodes, nodes))
+    _, labels = connected_components(graph, directed=True, connection="weak")
+    return bool((labels[:prefix_len] == labels[0]).all())
 
 
 def validate(design: Design) -> ValidationReport:
@@ -355,21 +343,21 @@ def validate(design: Design) -> ValidationReport:
     if pair_total != b * k * (k - 1):
         raise RuntimeError(f"concurrence total {pair_total} != b*k*(k-1) = {b * k * (k - 1)}; tallies corrupted")
 
-    flags = _prefix_connected_flags(t, design.ids.tolist())
+    # each poster's first block (b if unreviewed): every prefix is connected iff each later
+    # block holds a poster seen earlier, and the faculty cover every poster iff each is first
+    # seen in a faculty block
+    rows = np.arange(b)
+    first_block = np.full(t, b)
+    np.minimum.at(first_block, design.ids, rows[:, None])
     covered = bool(replication.min() >= 1)
-    if b < design.config.b_min:
-        faculty_coverage_ok = True
-    else:
-        in_faculty = np.zeros(t, dtype=bool)
-        in_faculty[design.ids[: design.config.faculty_blocks]] = True
-        faculty_coverage_ok = bool(in_faculty.all())
+    faculty_run = min(b, design.config.faculty_blocks)
     return ValidationReport(
         replication_spread=int(replication.max() - replication.min()),
         max_concurrence=int(design.concurrence.max()),
-        connected=covered and flags[-1],
-        all_prefixes_connected=all(flags),
+        connected=covered and is_connected(design),
+        all_prefixes_connected=bool((first_block[design.ids[1:]] < rows[1:, None]).any(axis=1).all()),
         covered=covered,
-        faculty_coverage_ok=faculty_coverage_ok,
+        faculty_coverage_ok=b < design.config.b_min or bool((first_block < faculty_run).all()),
     )
 
 

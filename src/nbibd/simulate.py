@@ -105,6 +105,15 @@ class SimParams:
             raise ValueError(
                 f"{self.b} judges of {self.k} reviews each cannot cover {self.t} posters (b*k < t)"
             )
+        # each near-balanced block after the first anchors on a reviewed
+        # poster, so b blocks reach at most k + (b-1)(k-1) posters
+        reach = self.k + (self.b - 1) * (self.k - 1)
+        if reach < self.t and any(kind is not GeneratorKind.RANDOM for kind in kinds):
+            least = 1 - (-(self.t - self.k) // (self.k - 1))
+            raise ValueError(
+                f"nb1 and nb2 reach at most k + (b-1)(k-1) = {reach} of {self.t} posters with {self.b} "
+                f"judges of {self.k} reviews; they need at least {least} judges"
+            )
 
 
 PRESETS: dict[str, SimParams] = {

@@ -20,6 +20,7 @@ from nbibd import (
 )
 from nbibd.design import Block, Design
 from nbibd.generate import generate
+from connectivity_oracle import prefix_connected_flags
 from tally_oracle import tallies_match_oracle
 
 
@@ -154,6 +155,8 @@ def test_from_blocks_rejects_malformed_blocks():
         Design.from_blocks(config, [good, Block(1, (2, 2), False)])
     with pytest.raises(ValueError):
         Design.from_blocks(config, [good, Block(1, (2, 4), False)])
+    with pytest.raises(ValueError, match="64-bit"):
+        Design.from_blocks(config, [good, Block(1, (2, 2**70), False)])
     with pytest.raises(ValueError, match="leading run"):
         Design.from_blocks(config, [good, Block(1, (2, 3), True)])
 
@@ -167,6 +170,27 @@ def test_from_blocks_rebuilds_a_design_from_its_blocks(b):
     assert rebuilt.config == design.config
 
 
+def test_design_rejects_malformed_id_arrays():
+    config = DesignConfig(t=4, k=2, b=2)
+    # a poster id past t used to build a length-6 replication array
+    with pytest.raises(ValueError, match=r"block 0 references poster 5 outside \[0, 4\)"):
+        Design(config, np.array([[0, 5], [1, 1]]))
+    with pytest.raises(ValueError, match="block 1 repeats a poster"):
+        Design(config, np.array([[0, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="block 1 references poster -1"):
+        Design(config, np.array([[0, 1], [-1, 2]]))
+    # a (2, 3) array under k=2 used to end in "tallies corrupted"
+    with pytest.raises(ValueError, match=r"shape \(b, k\) = \(2, 2\), got \(2, 3\)"):
+        Design(config, np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(ValueError, match=r"got \(4,\)"):
+        Design(config, np.array([0, 1, 2, 3]))
+    # uint64 ids would pass a kind check and then fail every bincount
+    for ids in ([[0, 1], [2, 3]], np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[0, 1], [2, 3]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="integers that fit int64"):
+            Design(config, ids)
+    assert Design(config, np.array([[0, 1], [2, 3]])).replication.tolist() == [1, 1, 1, 1]
+
+
 def test_recount_matches_incremental_tallies():
     for kind in ("nb1", "nb2"):
         for seed in range(5):
@@ -174,15 +198,47 @@ def test_recount_matches_incremental_tallies():
             assert tallies_match_oracle(design)
 
 
-def test_is_connected_prefixes():
-    design = make_design(4, 2, [(0, 1), (2, 3)])
-    assert is_connected(design, prefix_len=1)
-    assert not is_connected(design, prefix_len=2)
-    assert not is_connected(design)
+# hand-built designs and their connectivity at every prefix: a split,
+# a chain, a split that a later block mends, and unreviewed posters
+HAND_BUILT_PREFIXES = [
+    ((4, 2, [(0, 1), (2, 3)]), [True, False]),
+    ((4, 2, [(0, 1), (1, 2), (2, 3)]), [True, True, True]),
+    ((4, 2, [(0, 1), (2, 3), (1, 2)]), [True, False, True]),
+    ((6, 2, [(0, 1), (1, 2)]), [True, True]),
+    ((7, 3, [(0, 1, 2), (2, 3, 4), (5, 6, 0)]), [True, True, True]),
+    ((8, 3, [(0, 1, 2), (3, 4, 5), (2, 3, 6)]), [True, False, True]),
+]
 
-    chain = make_design(4, 2, [(0, 1), (1, 2), (2, 3)])
-    for prefix in range(1, 4):
-        assert is_connected(chain, prefix_len=prefix)
+
+def _generated_designs():
+    for t, k, b in ((30, 4, 20), (60, 3, 25), (40, 5, 6)):
+        for kind in ("nb1", "nb2", "random"):
+            if kind == "random" and b * k < t:
+                continue
+            for seed in range(4):
+                yield generate(DesignConfig(t=t, k=k, b=b, seed=seed), kind)[0]
+
+
+def test_is_connected_prefixes():
+    designs = []
+    for (t, k, blocks), expected in HAND_BUILT_PREFIXES:
+        design = make_design(t, k, blocks)
+        assert prefix_connected_flags(t, blocks) == expected
+        designs.append(design)
+    designs.extend(_generated_designs())
+
+    outcomes = set()
+    for design in designs:
+        flags = prefix_connected_flags(design.t, design.ids.tolist())
+        assert [is_connected(design, prefix_len=p) for p in range(1, design.b + 1)] == flags
+        assert is_connected(design) == flags[-1]
+        report = validate(design)
+        assert report.all_prefixes_connected == all(flags)
+        assert report.connected == (report.covered and flags[-1])
+        outcomes.add((report.covered, report.connected, report.all_prefixes_connected))
+    # connected and disconnected designs, with and without every prefix
+    # connected, and one leaving posters unreviewed
+    assert outcomes >= {(True, True, True), (True, True, False), (True, False, False), (False, False, True)}
 
 
 def test_is_connected_rejects_bad_prefix():

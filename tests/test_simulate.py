@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbibd import (
     METRICS,
@@ -426,3 +428,48 @@ def test_params_validation():
     for overrides in cases:
         with pytest.raises(ValueError):
             small_params(**overrides)
+
+
+def test_params_reject_shapes_the_near_balanced_kinds_cannot_cover():
+    # 45 blocks of 5 reach at most 5 + 44 * 4 = 181 of 200 posters: nb1 and
+    # nb2 used to record mean_score_dev = nan on every iteration
+    with pytest.raises(ValueError, match="= 181 of 200 .* at least 50 judges"):
+        SimParams(t=200, b=45, k=5)
+    assert SimParams(t=200, b=50, k=5).b == 50
+    assert SimParams(t=200, b=45, k=5, designs=("random",)).designs == (RANDOM,)
+
+
+def test_params_reject_awards_past_the_near_balanced_reach():
+    # 4 blocks of 5 reach 17 of 20 posters: awarding 18 used to abort the
+    # study in rank_posters with "top_m must be in [0, 17]"
+    with pytest.raises(ValueError, match="= 17 of 20 .* at least 5 judges"):
+        SimParams(t=20, b=4, k=5, awards=18)
+    assert SimParams(t=20, b=5, k=5, awards=18).b == 5
+
+
+@st.composite
+def study_shapes(draw):
+    """(t, k, b, awards) with b*k >= t, around the least b the near-balanced kinds need."""
+    t = draw(st.integers(2, 40))
+    k = draw(st.integers(2, min(t, 6)))
+    least = 1 - (-(t - k) // (k - 1))
+    return t, k, draw(st.integers(-(-t // k), least + 8)), draw(st.integers(1, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(study_shapes(), st.integers(0, 2**32 - 1))
+def test_accepted_shapes_never_abort_or_report_nan(shape, seed):
+    # nb1 shares nb2's faculty phase and hence its reach; it is left out
+    # because each of its infeasible shapes spends its whole restart budget
+    t, k, b, awards = shape
+    reach = k + (b - 1) * (k - 1)
+    try:
+        params = SimParams(t=t, k=k, b=b, awards=awards, iterations=1, seed=seed, designs=(NB2, RANDOM))
+    except ValueError:
+        assert reach < t
+        return
+    assert reach >= t
+    result = run_iteration(params, 0)
+    assert set(result.metrics) | set(result.failures) == {NB2, RANDOM}
+    for entry in result.metrics.values():
+        assert all(math.isfinite(entry.value(metric)) for metric in METRICS)
