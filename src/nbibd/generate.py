@@ -1,17 +1,20 @@
 """Sequential generators for near-balanced and random judge assignments.
 
 All randomness flows through numpy's PCG64 bit generator, so a seed and a
-kind fully determine the output on every platform.  The near-balanced
-generators build the design one judge at a time: within the first b_min
-blocks each new judge is anchored to an already-reviewed poster (the
-faculty phase) and the remaining slots always fill from the
-least-reviewed posters upward.  nb1 additionally rejects any candidate
-block that would let a pair of posters meet twice, erasing everything
-and restarting once a single block exhausts its attempt budget.  The
-random baseline only guarantees coverage: it drains the unreviewed pool,
-then samples blocks uniformly.  Blocks are drawn into the rows of a
-preallocated (b, k) poster-id array, which becomes the Design; block j
-is a faculty block when j < config.faculty_blocks.
+kind fully determine the output on every platform.  Every kind builds
+the design one judge at a time, and every block is one draw from the
+least-reviewed posters upward.  The near-balanced generators group the
+posters by review count; within the first b_min blocks each new judge
+is also anchored to an already-reviewed poster (the faculty phase).
+nb1 additionally rejects any candidate block that would let a pair of
+posters meet twice, erasing everything and restarting once a single
+block exhausts its attempt budget; a shape where counting alone rules
+out such a design is rejected before anything is drawn.  The random
+baseline only guarantees coverage: its two levels are unreviewed and
+reviewed, so it drains the unreviewed pool, tops the block up from
+reviewed posters, then samples blocks uniformly.  Blocks are drawn into
+the rows of a preallocated (b, k) poster-id array, which becomes the
+Design; block j is a faculty block when j < config.faculty_blocks.
 
 Work whose answer is known is skipped, never the random draws: the
 review-count strata are built once per block and shared by its rejected
@@ -60,7 +63,7 @@ class GenerationTrace:
 
 
 class NB1InfeasibleBudget(RuntimeError):
-    """The restart budget ran out before an nb1 design was completed."""
+    """No nb1 design: counting rules out the shape, or the restart budget ran out first."""
 
 
 class _RestartSignal(Exception):
@@ -76,9 +79,13 @@ def _strata(replication: np.ndarray, k: int) -> list[np.ndarray]:
     """Posters grouped by review count, least-reviewed group first, each in ascending id order.
 
     Built once per block; every draw for the block, accepted or
-    rejected, reads the same groups.  A draw never reads past a group of
-    k or more posters, so when the least-reviewed group is that large it
-    is the only one built; otherwise one stable argsort builds them all.
+    rejected, reads the same groups.  The all-zero tally of block 0
+    gives the one group arange(t).  The random baseline passes its tally
+    clipped at 1, so its groups are the unreviewed and then the reviewed
+    posters, and arange(t) again once every poster is covered.  A draw
+    never reads past a group of k or more posters, so when the
+    least-reviewed group is that large it is the only one built;
+    otherwise one stable argsort builds them all.
     """
     lowest = np.flatnonzero(replication == replication.min())
     if lowest.size >= k:
@@ -130,65 +137,27 @@ def _fill_least_reviewed(
 
 
 def _draw_block(
-    index: int,
-    config: DesignConfig,
-    strata: list[np.ndarray] | None,
+    strata: list[np.ndarray],
     anchors: tuple[np.ndarray, np.ndarray | None] | None,
+    k: int,
     rng: np.random.Generator,
 ) -> list[int]:
-    """One candidate near-balanced block: block 0 is uniform, a faculty-phase block starts with an anchor."""
-    if index == 0:
-        return rng.choice(config.t, size=config.k, replace=False).tolist()
+    """One candidate block of any kind: the faculty anchor when there is one, then the least-reviewed fill."""
     members: list[int] = []
     if anchors is not None:
         reviewed, probabilities = anchors
         members.append(int(rng.choice(reviewed, p=probabilities)))
-    return _fill_least_reviewed(strata, members, config.k, rng)
+    return _fill_least_reviewed(strata, members, k, rng)
 
 
-def _draw_random_block(config: DesignConfig, replication: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """Random-baseline block: drain the unreviewed pool first, then sample uniformly.
-
-    The baseline never rejects a block, so this set-up runs once per block.
-    """
-    unreviewed = np.flatnonzero(replication == 0)
-    if unreviewed.size == 0:
-        return rng.choice(config.t, size=config.k, replace=False).tolist()
-    take = min(config.k, unreviewed.size)
-    members = rng.choice(unreviewed, size=take, replace=False).tolist()
-    if take < config.k:
-        reviewed = np.flatnonzero(replication > 0)
-        members.extend(rng.choice(reviewed, size=config.k - take, replace=False).tolist())
-    return members
-
-
-def _pair_conflict(concurrence: np.ndarray, members: list[int]) -> bool:
-    for position, a in enumerate(members):
-        row = concurrence[a]
-        for b in members[position + 1 :]:
-            if row[b]:
-                return True
-    return False
-
-
-def _forced_conflict(
-    replication: np.ndarray, concurrence: np.ndarray, members: list[int], k: int
-) -> tuple[int, int, int] | None:
-    """The review level and a pair that met, when a rejected draw past the faculty phase must repeat.
-
-    With no anchor the block fills from the least-reviewed stratum
-    upward.  When every stratum it touched was taken whole, the block is
-    exactly the k posters reviewed at most `level` times, so every later
-    draw yields the same posters and the same conflict; otherwise None.
-    """
-    level = int(replication[members].max())
-    if np.count_nonzero(replication <= level) != k:
-        return None
+def _met_pair(concurrence: np.ndarray, members: list[int]) -> tuple[int, int] | None:
+    """The first pair of members that has already met, in ascending id order, or None."""
     ordered = sorted(members)
     for position, a in enumerate(ordered):
+        row = concurrence[a]
         for b in ordered[position + 1 :]:
-            if concurrence[a, b]:
-                return level, a, b
+            if row[b]:
+                return a, b
     return None
 
 
@@ -225,46 +194,46 @@ def _append_blocks(
     """Draw rows start.. of ids in place, updating the tallies; returns the rejected count.
 
     concurrence is the running pair tally, which only nb1's pair check
-    reads; the other kinds pass None.  The strata and anchor pool of a
-    near-balanced block are built once, before its first draw, since the
-    tallies only change when a block is accepted.  nb1 discards any
-    candidate that would let a pair of posters meet twice and raises
-    _RestartSignal once a single block has collected config.max_attempts
-    consecutive discards.  A discard past the faculty phase whose strata
-    were all taken whole is forced: every later attempt would draw the
-    same posters and meet the same pair.  Then the remaining attempts
-    only replay their rng.choice calls, count as discards, and
-    _RestartSignal follows at once, leaving the stream, the count and the
-    restart exactly where the full loop would.  stop_at_dead_end is for
-    extend, which may not restart: it raises NB1InfeasibleBudget in place
-    of _RestartSignal, and already at a forced discard.
+    reads; the other kinds pass None.  Every block of every kind is one
+    _draw_block over strata built once, before its first draw, since the
+    tallies only change when a block is accepted: the random baseline
+    reads its tally clipped at 1, so its strata are the unreviewed and
+    the reviewed posters, and a block in (0, b_min) of nb1 and nb2 also
+    draws a faculty anchor.  nb1 discards any candidate that would let a
+    pair of posters meet twice and raises _RestartSignal once a single
+    block has collected config.max_attempts consecutive discards.  A
+    discard past the faculty phase is forced when its posters are
+    exactly the k reviewed at most as often as the most-reviewed of
+    them: every stratum it touched was taken whole, so every later
+    attempt would draw the same posters and meet the same pair.  Then the
+    remaining attempts only replay their rng.choice calls, count as
+    discards, and _RestartSignal follows at once, leaving the stream, the
+    count and the restart exactly where the full loop would.
+    stop_at_dead_end is for extend, which may not restart: it raises
+    NB1InfeasibleBudget in place of _RestartSignal, and already at a
+    forced discard.
     """
     rejected = 0
     b_min = config.b_min
+    near_balanced = kind is not GeneratorKind.RANDOM
     for index in range(start, ids.shape[0]):
-        strata = anchors = None
-        if kind is not GeneratorKind.RANDOM and index > 0:
-            strata = _strata(replication, config.k)
-            if index < b_min:
-                anchors = _anchor_pool(replication, config.r_f)
+        strata = _strata(replication if near_balanced else np.minimum(replication, 1), config.k)
+        anchors = _anchor_pool(replication, config.r_f) if near_balanced and 0 < index < b_min else None
         discards = 0
         while True:
-            if kind is GeneratorKind.RANDOM:
-                members = _draw_random_block(config, replication, rng)
-            else:
-                members = _draw_block(index, config, strata, anchors, rng)
-            if kind is not GeneratorKind.NB1 or not _pair_conflict(concurrence, members):
+            members = _draw_block(strata, anchors, config.k, rng)
+            pair = _met_pair(concurrence, members) if kind is GeneratorKind.NB1 else None
+            if pair is None:
                 break
             rejected += 1
             discards += 1
-            forced = _forced_conflict(replication, concurrence, members, config.k) if index >= b_min else None
-            if forced is not None:
+            if index >= b_min and np.count_nonzero(replication <= replication[members].max()) == config.k:
                 if stop_at_dead_end:
-                    level, a, b = forced
                     raise NB1InfeasibleBudget(
                         f"nb1 cannot extend block {index} at t={config.t}, k={config.k}: every draw takes the "
-                        f"same {config.k} least-reviewed posters (review count at most {level}), and posters "
-                        f"{a} and {b} among them have already met; an nb2 continuation can finish the session"
+                        f"same {config.k} least-reviewed posters (review count at most "
+                        f"{replication[members].max()}), and posters {pair[0]} and {pair[1]} among them have "
+                        f"already met; an nb2 continuation can finish the session"
                     )
                 remaining = config.max_attempts - discards
                 _replay_forced_draws(strata, config.k, remaining, rng)
@@ -299,14 +268,25 @@ def generate(
     continues the same random stream, so a given seed still yields
     exactly one output.  After restart_budget restarts the parameter
     combination is deemed infeasible and NB1InfeasibleBudget is raised;
-    a negative restart_budget raises ValueError.  The random baseline
-    raises ValueError when b*k < t, since it promises coverage.
+    a negative restart_budget raises ValueError.  nb1 raises
+    NB1InfeasibleBudget before it draws when ceil(bk/t)*(k-1) > t-1: some
+    poster is reviewed at least ceil(bk/t) times, and with no pair
+    meeting twice each review needs k-1 partners it has not met among
+    the other t-1 posters.  The random baseline raises ValueError when
+    b*k < t, since it promises coverage.
     """
     if restart_budget < 0:
         raise ValueError(f"restart_budget must be >= 0, got {restart_budget}")
     kind = GeneratorKind(kind)
     if kind is GeneratorKind.RANDOM and config.b * config.k < config.t:
         raise ValueError(f"cannot cover {config.t} posters with {config.b} blocks of size {config.k}")
+    busiest = -(-config.b * config.k // config.t)
+    if kind is GeneratorKind.NB1 and busiest * (config.k - 1) > config.t - 1:
+        raise NB1InfeasibleBudget(
+            f"no nb1 design exists at t={config.t}, k={config.k}, b={config.b}: some poster is reviewed at least "
+            f"ceil(bk/t) = {busiest} times, and meeting k-1 = {config.k - 1} new posters each time takes "
+            f"{busiest * (config.k - 1)} > t-1 = {config.t - 1} partners"
+        )
     rng = _new_stream(config.seed)
     restarts = 0
     rejected_total = 0

@@ -134,11 +134,31 @@ def test_second_block_takes_the_last_unreviewed_poster():
 
 
 def test_nb1_exhausts_budget_on_infeasible_shape():
-    # t=6, k=4: any second block must reuse a pair, so nb1 cannot finish
-    config = DesignConfig(t=6, k=4, b=2, seed=0, max_attempts=20)
+    # t=7, k=4, b=3 passes the counting bound (no poster needs more than
+    # 6 partners), but three 4-sets on 7 posters that pairwise share at
+    # most one poster would cover at least 12 - 3 = 9 posters, so no seed
+    # can finish and nb1 spends its whole restart budget
+    config = DesignConfig(t=7, k=4, b=3, seed=0, max_attempts=20)
     with pytest.raises(NB1InfeasibleBudget) as excinfo:
         generate(config, "nb1", restart_budget=5)
     assert "restart" in str(excinfo.value)
+
+
+def test_nb1_rejects_shapes_counting_rules_out_before_drawing(monkeypatch):
+    # some poster is reviewed ceil(bk/t) times and needs k-1 new partners
+    # each time: 2*3 > 5 at t=6, k=4, b=2 (where b*k(k-1) = 24 <= t(t-1)
+    # = 30) and 10*4 > 9 at t=10, k=5, b=20
+    streams = captured_stream(monkeypatch)
+    for t, k, b in ((6, 4, 2), (10, 5, 20)):
+        with pytest.raises(NB1InfeasibleBudget, match=r"ceil\(bk/t\)"):
+            generate(DesignConfig(t=t, k=k, b=b, seed=0), "nb1")
+    assert streams == []
+    # at t=7, k=3, b=7 the two sides are equal (3*2 = 6), so nb1 draws
+    try:
+        generate(DesignConfig(t=7, k=3, b=7, seed=0, max_attempts=20), "nb1", restart_budget=2)
+    except NB1InfeasibleBudget as error:
+        assert "restart" in str(error)
+    assert len(streams) == 1
 
 
 def test_negative_restart_budget_is_rejected():
@@ -236,14 +256,14 @@ def test_extend_nb1_fails_fast_at_a_forced_dead_end(monkeypatch):
     draws = []
     draw_block = generate_module._draw_block
 
-    def counted(index, *args):
-        draws.append(index)
-        return draw_block(index, *args)
+    def counted(*args):
+        draws.append(None)
+        return draw_block(*args)
 
     monkeypatch.setattr(generate_module, "_draw_block", counted)
     with pytest.raises(NB1InfeasibleBudget) as excinfo:
         extend(design, 1, "nb1")
-    assert draws == [79]
+    assert len(draws) == 1
     assert str(excinfo.value) == (
         "nb1 cannot extend block 79 at t=200, k=5: every draw takes the same 5 least-reviewed posters "
         "(review count at most 1), and posters 155 and 182 among them have already met; "
@@ -559,9 +579,9 @@ def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, level
     draws = []
     draw_block = generate_module._draw_block
 
-    def counted(index, *args):
-        draws.append(index)
-        return draw_block(index, *args)
+    def counted(*args):
+        draws.append(None)
+        return draw_block(*args)
 
     monkeypatch.setattr(generate_module, "_draw_block", counted)
     replication, concurrence, ids = tallies()
@@ -572,14 +592,20 @@ def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, level
     full = np.random.Generator(np.random.PCG64(config.seed))
     with pytest.raises(OracleRestart) as oracle:
         append_blocks(config, "nb1", ids, start, replication, concurrence, full)
-    assert draws == [start]
+    assert len(draws) == 1
     assert excinfo.value.rejected == oracle.value.rejected == config.max_attempts
     assert fast.bit_generator.state == full.bit_generator.state
 
 
-@pytest.mark.parametrize("seed", sorted(RESTART_GOLDEN))
-def test_paper_shape_restarts_match_the_per_attempt_oracle(monkeypatch, seed):
-    assert matches_oracle(DesignConfig(seed=seed, **PAPER_SHAPE), "nb1", monkeypatch)
+# nb2 and random at seeds 0-2 check the one block draw against the
+# oracle's three branches where the random pool drains over ~40 blocks
+@pytest.mark.parametrize(
+    ("kind", "seed"),
+    [("nb1", seed) for seed in sorted(RESTART_GOLDEN)]
+    + [(kind, seed) for kind in ("nb2", "random") for seed in range(3)],
+)
+def test_paper_shape_restarts_match_the_per_attempt_oracle(monkeypatch, kind, seed):
+    assert matches_oracle(DesignConfig(seed=seed, **PAPER_SHAPE), kind, monkeypatch)
 
 
 @settings(max_examples=80, deadline=None)

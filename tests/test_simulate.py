@@ -184,8 +184,8 @@ def test_difference_summary_sign_and_interval():
 
 
 def test_infeasible_nb1_kind_is_recorded_as_failure():
-    # no pair-concurrence-1 design exists at this shape, so nb1 exhausts
-    # its restart budget while the other kinds are still scored
+    # counting rules out a pair-concurrence-1 design at this shape, so
+    # nb1 fails before drawing while the other kinds are still scored
     params = SimParams(t=10, k=5, b=20, awards=3, iterations=1)
     result = run_iteration(params, 0)
     assert result.failures == (NB1,)
