@@ -4,7 +4,7 @@ write_csv and read_csv own the framing shared by the design, scores,
 fit, metrics, summary and histogram files: a header row, \\n line ends,
 atomic replacement, rows numbered for error messages, column-count
 checks and the empty-file error.  The parse_* helpers turn one cell into
-a value or a FileFormatError naming the row and column.
+a value (an integer must fit int64) or a FileFormatError naming its row and column.
 """
 
 from __future__ import annotations
@@ -102,9 +102,12 @@ def parse_float(text: str, path: str, row: int, column: str) -> float:
 
 def parse_int(text: str, path: str, row: int, column: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise FileFormatError(path, row, f"column {column!r} is not an integer: {text!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise FileFormatError(path, row, f"column {column!r} does not fit a 64-bit integer: {text!r}")
+    return value
 
 
 def parse_bool(text: str, path: str, row: int, column: str) -> bool:

@@ -257,16 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _HANDLERS[args.command](args)
-    except FileFormatError as error:
+    # FileFormatError is a ValueError, so the exit-2 clause comes first
+    except (FileFormatError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (NB1InfeasibleBudget, _ValidationFailure, DisconnectedDesign, SingularFit) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except ValueError as error:
+    except (NB1InfeasibleBudget, _ValidationFailure, DisconnectedDesign, SingularFit, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     return 0

@@ -11,6 +11,9 @@ j's block; block j is a faculty block when j < config.faculty_blocks.
 The tallies are bincounts over that array, and the t x t pair tally and
 the Block views are derived on first use.
 
+Design(config, ids), Design.from_blocks and read_design name the same
+first faulty block for the same reason: all three ask _first_fault.
+
 Connectivity follows two array rules.  Every prefix is connected iff
 each block j >= 1 holds a poster first seen before block j: by induction
 on prefixes, a block that shares a poster with a connected prefix joins
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -172,28 +175,29 @@ class Design:
     reviews of poster i, concurrence[i, j] blocks containing both i and
     j (t x t, int64, zero diagonal), and blocks is one Block view per
     row.  recount() re-derives both tallies and must agree exactly.
-    Construction checks that ids is a (b, k) integer array whose rows
-    hold distinct posters in [0, t).
+    Construction checks that ids is a (b, k) integer array with no
+    faulty block under the design's own judges and faculty flags.
     """
 
     config: DesignConfig
     ids: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_ids(self.config, self.ids)
+        rows = np.arange(self.config.b)
+        _check(self.config, self.ids, rows, rows < self.config.faculty_blocks)
         self.ids.flags.writeable = False
 
     @classmethod
     def from_blocks(cls, config: DesignConfig, blocks: Iterable[Block]) -> "Design":
-        """Check the blocks; the design's config takes the faculty count that reproduces their flags."""
+        """Check the blocks as read_design does; the config takes the faculty count of their flags."""
         blocks = tuple(blocks)
-        _check_blocks(config, blocks)
-        faculty_count = _faculty_count(config, [block.faculty for block in blocks])
         try:
-            ids = np.array([block.poster_ids for block in blocks], dtype=np.int64)
-        except OverflowError:
-            raise ValueError("poster ids must fit a 64-bit integer") from None
-        return cls(replace(config, faculty_count=faculty_count), ids)
+            ids = np.array([block.poster_ids for block in blocks])
+        except ValueError:  # blocks of different sizes
+            raise ValueError(f"every block must hold k={config.k} posters") from None
+        faculty = np.array([block.faculty for block in blocks], dtype=bool)
+        _check(config, ids, np.array([block.judge_index for block in blocks]), faculty)
+        return cls(replace(config, faculty_count=_faculty_count(config, faculty)), ids)
 
     @cached_property
     def replication(self) -> np.ndarray:
@@ -243,49 +247,52 @@ class ValidationReport:
     faculty_coverage_ok: bool
 
 
-def _check_blocks(config: DesignConfig, blocks: Sequence[Block]) -> None:
-    if len(blocks) != config.b:
-        raise ValueError(f"expected {config.b} blocks, got {len(blocks)}")
-    for position, block in enumerate(blocks):
-        if block.judge_index != position:
-            raise ValueError(
-                f"blocks must be in generation order: judge_index {block.judge_index} at position {position}"
-            )
-        if len(block.poster_ids) != config.k:
-            raise ValueError(f"block {position} has {len(block.poster_ids)} posters, expected {config.k}")
+def _first_fault(t: int, ids: np.ndarray, judges: np.ndarray, faculty: np.ndarray) -> tuple[int, str] | None:
+    """The first block of the (b, k) ids that breaks the design rule, and why; None if none does.
 
-
-def _check_ids(config: DesignConfig, ids: np.ndarray) -> None:
-    """ValueError unless ids is a (b, k) integer array whose rows hold distinct posters in [0, t).
-
-    The first faulty row is named, a repeat before an id out of range.
+    Block j breaks it when judges[j] != j, when it repeats a poster, when
+    it holds a poster outside [0, t) (the first in column order is
+    named), or when faculty[j] follows an unflagged block; a block's
+    faults are tried in that order.
     """
-    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
-        raise ValueError("ids must be a numpy array of integers that fit int64")
-    if ids.shape != (config.b, config.k):
-        raise ValueError(f"ids must have shape (b, k) = ({config.b}, {config.k}), got {ids.shape}")
     ordered = np.sort(ids, axis=1)
+    misnumbered = judges != np.arange(len(judges))
     repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    outside = (ordered[:, 0] < 0) | (ordered[:, -1] >= config.t)
-    faulty = np.flatnonzero(repeats | outside)
-    if faulty.size:
-        row = int(faulty[0])
-        if repeats[row]:
-            raise ValueError(f"block {row} repeats a poster")
-        poster = ordered[row, 0] if ordered[row, 0] < 0 else ordered[row, -1]
-        raise ValueError(f"block {row} references poster {poster} outside [0, {config.t})")
+    outside = (ids < 0) | (ids >= t)
+    late = faculty & ~np.logical_and.accumulate(faculty)
+    faulty = np.flatnonzero(misnumbered | repeats | outside.any(axis=1) | late)
+    if not faulty.size:
+        return None
+    j, judge = int(faulty[0]), judges[faulty[0]]
+    if misnumbered[j]:
+        duplicate = 0 <= judge < j
+        return j, f"duplicate judge_index {judge}" if duplicate else f"judge_index {judge} out of order (expected {j})"
+    if repeats[j]:
+        return j, "duplicate poster within the block"
+    if outside[j].any():
+        return j, f"poster id {ids[j][outside[j]][0]} outside [0, {t})"
+    return j, "faculty flags must mark a leading run of blocks"
 
 
-def _faculty_count(config: DesignConfig, flags: Sequence[bool]) -> int | None:
-    """The faculty_count that flags exactly the leading run of flags; ValueError if they are not one.
+def _check(config: DesignConfig, ids: np.ndarray, judges: np.ndarray, faculty: np.ndarray) -> None:
+    """ValueError unless ids is a (b, k) int64-compatible array with no faulty block."""
+    if np.shape(ids) != (config.b, config.k):
+        raise ValueError(f"ids must have shape (b, k) = ({config.b}, {config.k}), got {np.shape(ids)}")
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu" and np.can_cast(ids.dtype, np.int64)):
+        raise ValueError("ids must be a numpy array of integers that fit int64, the 64-bit signed type")
+    fault = _first_fault(config.t, ids, judges, faculty)
+    if fault is not None:
+        raise ValueError("block %d: %s" % fault)
+
+
+def _faculty_count(config: DesignConfig, faculty: np.ndarray) -> int | None:
+    """The faculty_count that flags the leading run of faculty flags.
 
     A run of min(b, config.faculty_blocks) keeps the config's own count
     (None inside the default phase), any other run becomes its length.
     """
-    run = flags.index(False) if False in flags else len(flags)
-    if any(flags[run:]):
-        raise ValueError("faculty flags must mark a leading run of blocks")
-    return config.faculty_count if run == min(len(flags), config.faculty_blocks) else run
+    run = int(np.logical_and.accumulate(faculty).sum())
+    return config.faculty_count if run == min(len(faculty), config.faculty_blocks) else run
 
 
 def _replication(t: int, ids: np.ndarray) -> np.ndarray:
@@ -382,15 +389,13 @@ def read_design(
     t may be omitted for designs that cover all posters, in which case it
     is inferred as max poster id + 1.  The stream seed is not stored in
     the file; pass the original seed if the design is to be extended
-    reproducibly.  Faculty flags must mark a leading run of blocks, and a
-    block needs at least two poster columns.
+    reproducibly.  A block needs at least two poster columns.
 
-    Every row is parsed before any structural check, so a cell that is
-    not a number, or a row of the wrong width, is reported wherever it
-    is.  The structural checks then run once per row and report the
-    first faulty row; within a row the order is judge order, duplicate
-    poster, poster range, faculty run.  The checked rows become the
-    design's id array.
+    Every row is parsed first, so a cell that is not an int64, or a row
+    of the wrong width, is reported wherever it is.  The rows are then
+    checked by the rule Design and Design.from_blocks use; block j's
+    fault is reported at row j + 2.  An inferred t stops at the largest
+    64-bit poster count, so the int64 maximum id is out of range.
 
     A faculty run of min(b, b_min) rows reads as faculty_count=None, any
     other as its length, so a file inside its default faculty phase
@@ -409,38 +414,20 @@ def read_design(
     if k < 2:
         raise FileFormatError(path, 1, f"a block needs at least 2 poster columns, got {k}")
 
-    parsed: list[tuple[int, bool, list[int]]] = []
+    judges, flags, blocks = [], [], []
     for number, row in rows:
-        judge = parse_int(row[0], path, number, "judge_index")
-        faculty = parse_bool(row[1], path, number, "faculty")
-        posters = [parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])]
-        parsed.append((judge, faculty, posters))
-    if not parsed:
+        judges.append(parse_int(row[0], path, number, "judge_index"))
+        flags.append(parse_bool(row[1], path, number, "faculty"))
+        blocks.append([parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])])
+    if not blocks:
         raise FileFormatError(path, None, "no blocks")
 
+    ids = np.array(blocks, dtype=np.int64)
+    faculty = np.array(flags)
     if t is None:
-        t = 1 + max(max(posters) for _, _, posters in parsed)
-
-    faculty_run_over = False
-    for number, (judge, faculty, posters) in enumerate(parsed, start=2):
-        position = number - 2
-        if judge != position:
-            if 0 <= judge < position:
-                raise FileFormatError(path, number, f"duplicate judge_index {judge}")
-            raise FileFormatError(path, number, f"judge_index {judge} out of order (expected {position})")
-        if len(set(posters)) != k:
-            raise FileFormatError(path, number, "duplicate poster within the block")
-        for poster in posters:
-            if not 0 <= poster < t:
-                raise FileFormatError(path, number, f"poster id {poster} outside [0, {t})")
-            if poster >= _MAX_POSTERS:
-                raise FileFormatError(path, number, f"poster id {poster} does not fit a 64-bit poster count")
-        if faculty and faculty_run_over:
-            raise FileFormatError(path, number, "faculty flags must mark a leading run of blocks")
-        if not faculty:
-            faculty_run_over = True
-
-    config = DesignConfig(t=t, k=k, b=len(parsed), seed=seed, max_attempts=max_attempts)
-    faculty_count = _faculty_count(config, [faculty for _, faculty, _ in parsed])
-    ids = np.array([posters for _, _, posters in parsed], dtype=np.int64)
-    return Design(replace(config, faculty_count=faculty_count), ids)
+        t = min(int(ids.max()) + 1, _MAX_POSTERS)
+    fault = _first_fault(t, ids, np.array(judges), faculty)
+    if fault is not None:
+        raise FileFormatError(path, fault[0] + 2, fault[1])
+    config = DesignConfig(t=t, k=k, b=len(blocks), seed=seed, max_attempts=max_attempts)
+    return Design(replace(config, faculty_count=_faculty_count(config, faculty)), ids)

@@ -290,6 +290,23 @@ def test_score_malformed_scores_exits_two(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "row,column", [("18446744073709551617,2,4.0", "judge_index"), ("0,-9223372036854775809,4.0", "poster_id")]
+)
+def test_score_id_beyond_int64_exits_two(tmp_path, capsys, row, column):
+    design_path = tmp_path / "design.csv"
+    design_path.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n1,true,1,2\n")
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text(f"judge_index,poster_id,score\n0,0,3.0\n{row}\n")
+    captured = run(
+        capsys,
+        ["score", "--design", str(design_path), "--scores", str(scores_path),
+         "--out", str(tmp_path / "fit.csv")],
+        expect=2,
+    )
+    assert f"{scores_path}:row 3: column '{column}' does not fit a 64-bit integer" in captured.err
+
+
 def test_simulate_then_report_pipeline(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NBIBD_THREADS", "1")
     metrics = tmp_path / "metrics.csv"
@@ -379,9 +396,9 @@ def test_validate_poster_id_beyond_int64_exits_cleanly(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text(f"judge_index,faculty,poster_1,poster_2\n0,true,0,{2**64 + 1}\n")
     captured = run(capsys, ["validate", str(path)], expect=2)
-    assert f"{path}:row 2: poster id {2**64 + 1} does not fit a 64-bit poster count" in captured.err
+    assert f"{path}:row 2: column 'poster_2' does not fit a 64-bit integer: '{2**64 + 1}'" in captured.err
     captured = run(capsys, ["validate", str(path), "--posters", str(2**70)], expect=2)
-    assert "does not fit a 64-bit poster count" in captured.err
+    assert f"{path}:row 2: column 'poster_2' does not fit a 64-bit integer" in captured.err
     small = tmp_path / "small.csv"
     small.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n")
     captured = run(capsys, ["validate", str(small), "--posters", str(2**70)], expect=1)

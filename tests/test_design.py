@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbibd import (
     DesignConfig,
@@ -21,6 +23,7 @@ from nbibd import (
 from nbibd.design import Block, Design
 from nbibd.generate import generate
 from connectivity_oracle import prefix_connected_flags
+from design_check_oracle import first_fault
 from tally_oracle import tallies_match_oracle
 
 
@@ -149,7 +152,7 @@ def test_from_blocks_rejects_malformed_blocks():
         Design.from_blocks(config, [good])
     with pytest.raises(ValueError):
         Design.from_blocks(config, [good, Block(2, (2, 3), False)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="every block must hold k=2 posters"):
         Design.from_blocks(config, [good, Block(1, (2,), False)])
     with pytest.raises(ValueError):
         Design.from_blocks(config, [good, Block(1, (2, 2), False)])
@@ -157,6 +160,11 @@ def test_from_blocks_rejects_malformed_blocks():
         Design.from_blocks(config, [good, Block(1, (2, 4), False)])
     with pytest.raises(ValueError, match="64-bit"):
         Design.from_blocks(config, [good, Block(1, (2, 2**70), False)])
+    # ids that are not integers are refused, not truncated or converted
+    with pytest.raises(ValueError, match="integers that fit int64"):
+        Design.from_blocks(config, [good, Block(1, (0.5, 1.7), False)])
+    with pytest.raises(ValueError, match="integers that fit int64"):
+        Design.from_blocks(config, [good, Block(1, ("2", "3"), False)])
     with pytest.raises(ValueError, match="leading run"):
         Design.from_blocks(config, [good, Block(1, (2, 3), True)])
 
@@ -173,11 +181,11 @@ def test_from_blocks_rebuilds_a_design_from_its_blocks(b):
 def test_design_rejects_malformed_id_arrays():
     config = DesignConfig(t=4, k=2, b=2)
     # a poster id past t used to build a length-6 replication array
-    with pytest.raises(ValueError, match=r"block 0 references poster 5 outside \[0, 4\)"):
+    with pytest.raises(ValueError, match=r"block 0: poster id 5 outside \[0, 4\)"):
         Design(config, np.array([[0, 5], [1, 1]]))
-    with pytest.raises(ValueError, match="block 1 repeats a poster"):
+    with pytest.raises(ValueError, match="block 1: duplicate poster within the block"):
         Design(config, np.array([[0, 1], [1, 1]]))
-    with pytest.raises(ValueError, match="block 1 references poster -1"):
+    with pytest.raises(ValueError, match="block 1: poster id -1 outside"):
         Design(config, np.array([[0, 1], [-1, 2]]))
     # a (2, 3) array under k=2 used to end in "tallies corrupted"
     with pytest.raises(ValueError, match=r"shape \(b, k\) = \(2, 2\), got \(2, 3\)"):
@@ -343,7 +351,9 @@ HEAD = "judge_index,faculty,poster_1,poster_2\n"
         (HEAD + "0,maybe,0,1\n", "faculty", 2),
         (HEAD + "0,false,0,1\n1,true,1,2\n", "leading run", 3),
         ("judge_index,faculty,poster_1\n0,true,0\n", "at least 2 poster columns, got 1", 1),
-        (HEAD + "0,true,0,1\n1,true,2,18446744073709551617\n", "does not fit a 64-bit poster count", 3),
+        (HEAD + "0,true,0,1\n1,true,2,18446744073709551617\n", "'poster_2' does not fit a 64-bit integer", 3),
+        # an inferred t stops at the largest 64-bit poster count
+        (HEAD + "0,true,0,9223372036854775807\n", "poster id 9223372036854775807 outside", 2),
     ],
 )
 def test_read_design_rejects_malformed_files(tmp_path, content, fragment, row):
@@ -373,6 +383,8 @@ def test_read_design_rejects_malformed_files(tmp_path, content, fragment, row):
         (HEAD + "0,true,0,1\n0,true,1,1\n", None, "duplicate judge_index 0", 3),
         (HEAD + "0,true,5,5\n", 3, "duplicate poster", 2),
         (HEAD + "0,false,0,1\n1,true,0,9\n", 3, "poster id 9 outside [0, 3)", 3),
+        # an id past int64 is a parse fault, reported before an earlier row's repeat
+        (HEAD + "0,true,1,1\n1,true,2,18446744073709551617\n", None, "does not fit a 64-bit integer", 3),
     ],
 )
 def test_read_design_reports_the_first_fault(tmp_path, content, t, fragment, row):
@@ -382,6 +394,62 @@ def test_read_design_reports_the_first_fault(tmp_path, content, t, fragment, row
         read_design(str(path), t=t)
     assert fragment in str(excinfo.value)
     assert excinfo.value.row == row
+
+
+@st.composite
+def faulty_block_lists(draw):
+    """A small block list, t and k, with up to three planted faults of the four kinds."""
+    t = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(t, 4)))
+    b = draw(st.integers(1, 6))
+    rows = [[j, False, draw(st.permutations(range(t)))[:k]] for j in range(b)]
+    for j in range(draw(st.integers(0, b))):
+        rows[j][1] = True
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, b - 1))
+        fault = draw(st.sampled_from(["judge", "repeat", "range", "faculty"]))
+        if fault == "judge":
+            rows[j][0] = draw(st.integers(-2, b + 2).filter(lambda judge: judge != j))
+        elif fault == "repeat":
+            rows[j][2][draw(st.integers(1, k - 1))] = rows[j][2][0]
+        elif fault == "range":
+            columns = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True))
+            for column, poster in zip(columns, draw(st.permutations([-3, -1, t, t + 5]))):
+                rows[j][2][column] = poster
+        else:
+            rows[j][1] = True
+            rows[draw(st.integers(0, j))][1] = False
+    return t, k, [tuple(row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=faulty_block_lists(), infer=st.booleans())
+def test_every_entry_point_reports_the_oracle_fault(tmp_path_factory, case, infer):
+    t, k, rows = case
+    if infer:
+        t = 1 + max(max(posters) for _, _, posters in rows)
+    expected = first_fault(rows, t, k)
+    path = tmp_path_factory.mktemp("faults") / "design.csv"
+    header = ",".join(["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(k)])
+    lines = [",".join([str(judge), str(faculty).lower(), *map(str, posters)]) for judge, faculty, posters in rows]
+    path.write_text("\n".join([header, *lines]) + "\n")
+    blocks = [Block(judge, tuple(posters), faculty) for judge, faculty, posters in rows]
+
+    if expected is None:
+        design = read_design(str(path), t=None if infer else t)
+        assert design.ids.tolist() == [list(posters) for _, _, posters in rows]
+        assert Design.from_blocks(DesignConfig(t=t, k=k, b=len(rows)), blocks).blocks == design.blocks
+        return
+    number, message = expected
+    with pytest.raises(FileFormatError) as excinfo:
+        read_design(str(path), t=None if infer else t)
+    assert excinfo.value.row == number
+    assert str(excinfo.value) == f"{path}:row {number}: {message}"
+    # an inferred t below 2 or k is no config for from_blocks to check against
+    if t >= k:
+        with pytest.raises(ValueError) as excinfo:
+            Design.from_blocks(DesignConfig(t=t, k=k, b=len(rows)), blocks)
+        assert str(excinfo.value) == f"block {number - 2}: {message}"
 
 
 def test_read_design_rejects_out_of_range_poster(tmp_path):
