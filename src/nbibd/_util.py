@@ -4,7 +4,8 @@ write_csv and read_csv own the framing shared by the design, scores,
 fit, metrics, summary and histogram files: a header row, \\n line ends,
 atomic replacement, rows numbered for error messages, column-count
 checks and the empty-file error.  The parse_* helpers turn one cell into
-a value (an integer must fit int64) or a FileFormatError naming its row and column.
+a value (an integer must fit int64) or a FileFormatError naming its row and column;
+parse_columns turns a table's data rows into one array per column by the same rule.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import os
 import tempfile
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class FileFormatError(ValueError):
@@ -110,10 +113,54 @@ def parse_int(text: str, path: str, row: int, column: str) -> int:
     return value
 
 
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _to_bool(text: str) -> bool:
+    return _BOOLS[text.strip().lower()]
+
+
 def parse_bool(text: str, path: str, row: int, column: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1"):
-        return True
-    if lowered in ("false", "0"):
-        return False
-    raise FileFormatError(path, row, f"column {column!r} is not a boolean: {text!r}")
+    try:
+        return _to_bool(text)
+    except KeyError:
+        raise FileFormatError(path, row, f"column {column!r} is not a boolean: {text!r}") from None
+
+
+# per column type: the conversion of one cell, the column's dtype, and the parser naming a faulty cell
+_COLUMN_TYPES = {
+    int: (int, np.int64, parse_int),
+    float: (float, np.float64, parse_float),
+    bool: (_to_bool, np.bool_, parse_bool),
+}
+
+
+def parse_columns(
+    path: str, header: Sequence[str], rows: Iterator[tuple[int, list[str]]], types: Sequence[type]
+) -> list[np.ndarray]:
+    """read_csv's data rows as one array per column, column i of type types[i]: int, float or bool.
+
+    Each column is converted in one pass, its cells mapped through int,
+    float or the parse_bool rule and then one np.array, whose
+    OverflowError is the int64 bound of parse_int.  So a table is
+    accepted, with the same values, exactly when every parse_* call on
+    its cells would be.  When a cell or a row's width is at fault, the
+    rows read so far are parsed again one cell at a time, so the fault
+    reported is the first in row, then column order, as a per-row loop
+    over parse_* would report it.
+    """
+    kinds = [_COLUMN_TYPES[kind] for kind in types]
+    table: list[tuple[int, list[str]]] = []
+    try:
+        for numbered in rows:
+            table.append(numbered)
+        columns = list(zip(*(row for _, row in table))) or [()] * len(kinds)
+        return [
+            np.array(list(map(convert, column)), dtype=dtype) for (convert, dtype, _), column in zip(kinds, columns)
+        ]
+    # read_csv's width fault is a FileFormatError, and so a ValueError
+    except (KeyError, ValueError, OverflowError):
+        for number, row in table:
+            for (_, _, parse), cell, name in zip(kinds, row, header):
+                parse(cell, path, number, name)
+        raise

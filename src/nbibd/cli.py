@@ -38,6 +38,7 @@ from .simulate import (
 )
 
 _KIND_CHOICES = [kind.value for kind in GeneratorKind]
+_POSTERS_HELP = "poster count if the file leaves trailing ids unreviewed"
 
 
 class _ValidationFailure(RuntimeError):
@@ -48,79 +49,94 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The nbibd argument parser, with every subcommand or, given one, with that one alone.
+
+    A parser built for one command names all of them as its command
+    metavar, so a top-level error after the command, such as an
+    unrecognized argument, prints the full parser's usage line.  The full
+    parser keeps argparse's own metavar, which its "invalid choice" and
+    "required" messages depend on.
+    """
     parser = argparse.ArgumentParser(
         prog="nbibd",
         description="near-balanced review assignment designs, score model fits, and design comparison studies",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{%s}" % ",".join(_HANDLERS)
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    gen = subparsers.add_parser("generate", help="generate a review assignment design")
-    gen.add_argument("--posters", type=int, required=True, help="number of posters t")
-    gen.add_argument("--block-size", type=int, required=True, help="reviews per judge k")
-    gen.add_argument("--judges", type=int, required=True, help="number of judges b")
-    gen.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--max-attempts", type=int, default=500, help="nb1 block rejections before a restart")
-    gen.add_argument("--restart-budget", type=int, default=50, help="nb1 restarts before giving up")
-    gen.add_argument(
-        "--faculty-count",
-        type=int,
-        default=None,
-        help="how many leading blocks are faculty assignments (default: the coverage minimum)",
-    )
-    gen.add_argument("--out", required=True, help="design CSV path")
+    if command in (None, "generate"):
+        gen = subparsers.add_parser("generate", help="generate a review assignment design")
+        gen.add_argument("--posters", type=int, required=True, help="number of posters t")
+        gen.add_argument("--block-size", type=int, required=True, help="reviews per judge k")
+        gen.add_argument("--judges", type=int, required=True, help="number of judges b")
+        gen.add_argument("--kind", choices=_KIND_CHOICES, required=True)
+        gen.add_argument("--seed", type=int, default=0)
+        gen.add_argument("--max-attempts", type=int, default=500, help="nb1 block rejections before a restart")
+        gen.add_argument("--restart-budget", type=int, default=50, help="nb1 restarts before giving up")
+        gen.add_argument(
+            "--faculty-count",
+            type=int,
+            default=None,
+            help="how many leading blocks are faculty assignments (default: the coverage minimum)",
+        )
+        gen.add_argument("--out", required=True, help="design CSV path")
 
-    ext = subparsers.add_parser("extend", help="append blocks to an existing design")
-    ext.add_argument("--design", required=True, help="design CSV path")
-    ext.add_argument("--blocks", type=int, required=True, help="number of blocks to append")
-    ext.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    ext.add_argument(
-        "--seed",
-        type=int,
-        required=True,
-        help="seed the design was generated with; the continuation stream derives from it",
-    )
-    ext.add_argument("--posters", type=int, default=None, help="poster count if the file leaves trailing ids unreviewed")
-    ext.add_argument("--max-attempts", type=int, default=500)
-    ext.add_argument("--out", required=True, help="extended design CSV path")
+    if command in (None, "extend"):
+        ext = subparsers.add_parser("extend", help="append blocks to an existing design")
+        ext.add_argument("--design", required=True, help="design CSV path")
+        ext.add_argument("--blocks", type=int, required=True, help="number of blocks to append")
+        ext.add_argument("--kind", choices=_KIND_CHOICES, required=True)
+        ext.add_argument(
+            "--seed",
+            type=int,
+            required=True,
+            help="seed the design was generated with; the continuation stream derives from it",
+        )
+        ext.add_argument("--posters", type=int, default=None, help=_POSTERS_HELP)
+        ext.add_argument("--max-attempts", type=int, default=500)
+        ext.add_argument("--out", required=True, help="extended design CSV path")
 
-    val = subparsers.add_parser("validate", help="check a design file's invariants")
-    val.add_argument("design", help="design CSV path")
-    val.add_argument("--posters", type=int, default=None, help="poster count if the file leaves trailing ids unreviewed")
-    val.add_argument(
-        "--kind",
-        choices=_KIND_CHOICES,
-        default=None,
-        help="also enforce this kind's invariants (default: coverage and connectivity)",
-    )
+    if command in (None, "validate"):
+        val = subparsers.add_parser("validate", help="check a design file's invariants")
+        val.add_argument("design", help="design CSV path")
+        val.add_argument("--posters", type=int, default=None, help=_POSTERS_HELP)
+        val.add_argument(
+            "--kind",
+            choices=_KIND_CHOICES,
+            default=None,
+            help="also enforce this kind's invariants (default: coverage and connectivity)",
+        )
 
-    sco = subparsers.add_parser("score", help="fit a score model to observed reviews")
-    sco.add_argument("--design", required=True, help="design CSV path")
-    sco.add_argument("--scores", required=True, help="scores CSV path (judge_index,poster_id,score)")
-    sco.add_argument("--model", choices=["fixed", "random"], default="random")
-    sco.add_argument("--posters", type=int, default=None, help="poster count if the file leaves trailing ids unreviewed")
-    sco.add_argument("--out", required=True, help="per-poster fit CSV path")
-    sco.add_argument("--summary-out", default=None, help="sidecar summary CSV path (default: <out>.summary.csv)")
+    if command in (None, "score"):
+        sco = subparsers.add_parser("score", help="fit a score model to observed reviews")
+        sco.add_argument("--design", required=True, help="design CSV path")
+        sco.add_argument("--scores", required=True, help="scores CSV path (judge_index,poster_id,score)")
+        sco.add_argument("--model", choices=["fixed", "random"], default="random")
+        sco.add_argument("--posters", type=int, default=None, help=_POSTERS_HELP)
+        sco.add_argument("--out", required=True, help="per-poster fit CSV path")
+        sco.add_argument("--summary-out", default=None, help="sidecar summary CSV path (default: <out>.summary.csv)")
 
-    sim = subparsers.add_parser("simulate", help="run the design comparison study")
-    sim.add_argument("--preset", choices=sorted(PRESETS), default="paper")
-    sim.add_argument("--iterations", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--posters", type=int, default=None)
-    sim.add_argument("--judges", type=int, default=None)
-    sim.add_argument("--awards", type=int, default=None)
-    sim.add_argument("--sd-poster", type=float, default=None)
-    sim.add_argument("--sd-judge", type=float, default=None)
-    sim.add_argument("--sd-error", type=float, default=None)
-    sim.add_argument("--out", required=True, help="metrics CSV path, one row per (iteration, design)")
+    if command in (None, "simulate"):
+        sim = subparsers.add_parser("simulate", help="run the design comparison study")
+        sim.add_argument("--preset", choices=sorted(PRESETS), default="paper")
+        sim.add_argument("--iterations", type=int, default=None)
+        sim.add_argument("--seed", type=int, default=None)
+        sim.add_argument("--posters", type=int, default=None)
+        sim.add_argument("--judges", type=int, default=None)
+        sim.add_argument("--awards", type=int, default=None)
+        sim.add_argument("--sd-poster", type=float, default=None)
+        sim.add_argument("--sd-judge", type=float, default=None)
+        sim.add_argument("--sd-error", type=float, default=None)
+        sim.add_argument("--out", required=True, help="metrics CSV path, one row per (iteration, design)")
 
-    rep = subparsers.add_parser("report", help="summarize a metrics CSV into quantile/CI tables")
-    rep.add_argument("metrics", help="metrics CSV from simulate")
-    rep.add_argument("--out", default="summary.csv", help="summary CSV path")
-    rep.add_argument("--hist-bins", type=int, default=20)
-    rep.add_argument("--hist-out", default=None, help="histogram CSV path (omit to skip histograms)")
+    if command in (None, "report"):
+        rep = subparsers.add_parser("report", help="summarize a metrics CSV into quantile/CI tables")
+        rep.add_argument("metrics", help="metrics CSV from simulate")
+        rep.add_argument("--out", default="summary.csv", help="summary CSV path")
+        rep.add_argument("--hist-bins", type=int, default=20)
+        rep.add_argument("--hist-out", default=None, help="histogram CSV path (omit to skip histograms)")
 
     return parser
 
@@ -253,8 +269,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the subcommand that runs is built; no arguments, an option first or an unknown command get them all
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _HANDLERS[args.command](args)
     # FileFormatError is a ValueError, so the exit-2 clause comes first

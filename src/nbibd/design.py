@@ -33,7 +33,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from ._util import FileFormatError, parse_bool, parse_int, read_csv, write_csv
+from ._util import FileFormatError, parse_columns, read_csv, write_csv
 
 __all__ = [
     "DesignConfig",
@@ -414,20 +414,15 @@ def read_design(
     if k < 2:
         raise FileFormatError(path, 1, f"a block needs at least 2 poster columns, got {k}")
 
-    judges, flags, blocks = [], [], []
-    for number, row in rows:
-        judges.append(parse_int(row[0], path, number, "judge_index"))
-        flags.append(parse_bool(row[1], path, number, "faculty"))
-        blocks.append([parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])])
-    if not blocks:
+    judges, faculty, *posters = parse_columns(path, header, rows, [int, bool] + [int] * k)
+    if not judges.size:
         raise FileFormatError(path, None, "no blocks")
 
-    ids = np.array(blocks, dtype=np.int64)
-    faculty = np.array(flags)
+    ids = np.stack(posters, axis=1)
     if t is None:
         t = min(int(ids.max()) + 1, _MAX_POSTERS)
-    fault = _first_fault(t, ids, np.array(judges), faculty)
+    fault = _first_fault(t, ids, judges, faculty)
     if fault is not None:
         raise FileFormatError(path, fault[0] + 2, fault[1])
-    config = DesignConfig(t=t, k=k, b=len(blocks), seed=seed, max_attempts=max_attempts)
+    config = DesignConfig(t=t, k=k, b=judges.size, seed=seed, max_attempts=max_attempts)
     return Design(replace(config, faculty_count=_faculty_count(config, faculty)), ids)

@@ -216,8 +216,15 @@ def _append_blocks(
     rejected = 0
     b_min = config.b_min
     near_balanced = kind is not GeneratorKind.RANDOM
+    covered = False
     for index in range(start, ids.shape[0]):
-        strata = _strata(replication if near_balanced else np.minimum(replication, 1), config.k)
+        if near_balanced:
+            strata = _strata(replication, config.k)
+        elif not covered:
+            strata = _strata(np.minimum(replication, 1), config.k)
+            # one stratum of all t posters comes from an all-zero or an all-reviewed tally; from the
+            # latter the clipped tally, and so the strata, stay the same for every later block
+            covered = strata[0].size == config.t and replication[0] > 0
         anchors = _anchor_pool(replication, config.r_f) if near_balanced and 0 < index < b_min else None
         discards = 0
         while True:

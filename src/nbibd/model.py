@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._util import FileFormatError, format_float, parse_float, parse_int, read_csv, write_csv
+from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
 from .design import Design
 
 __all__ = [
@@ -112,9 +112,12 @@ class ScoreTable:
         one of its (judge, poster) incidences.
         """
         rows = list(observations)
-        judges = np.array([row[0] for row in rows], dtype=np.int64)
-        posters = np.array([row[1] for row in rows], dtype=np.int64)
-        scores = np.array([row[2] for row in rows], dtype=np.float64)
+        judges, posters, scores = ([row[column] for row in rows] for column in range(3))
+        return cls._from_columns(judges, posters, scores, t=t, b=b, design=design)
+
+    @classmethod
+    def _from_columns(cls, judges, posters, scores, t: int, b: int, design: Design | None) -> "ScoreTable":
+        """from_observations on the judge, poster and score columns."""
         table = cls(judges, posters, scores, t=t, b=b)
         if design is not None:
             # judge * base + poster, with base above every poster id on either side
@@ -554,19 +557,12 @@ def write_scores(path: str, table: ScoreTable) -> None:
 
 def read_scores(path: str, t: int, b: int, design: Design | None = None) -> ScoreTable:
     """Read a judge_index,poster_id,score CSV into a ScoreTable."""
-    _, rows = read_csv(path, _SCORES_HEADER)
-    observations = [
-        (
-            parse_int(row[0], path, number, "judge_index"),
-            parse_int(row[1], path, number, "poster_id"),
-            parse_float(row[2], path, number, "score"),
-        )
-        for number, row in rows
-    ]
-    if not observations:
+    header, rows = read_csv(path, _SCORES_HEADER)
+    judges, posters, scores = parse_columns(path, header, rows, [int, int, float])
+    if not judges.size:
         raise FileFormatError(path, None, "no observations")
     try:
-        return ScoreTable.from_observations(observations, t=t, b=b, design=design)
+        return ScoreTable._from_columns(judges, posters, scores, t=t, b=b, design=design)
     except ValueError as error:
         raise FileFormatError(path, None, str(error)) from None
 

@@ -1,9 +1,30 @@
-"""The per-row design check oracle for the design tests.
+"""The per-row design parse and check oracles for the design tests.
 
-One pass over a file's parsed rows in order, one fault at a time: the
-reference that nbibd's array rule, shared by Design, Design.from_blocks
-and read_design, must match in the row it names and in its message.
+One pass over a file's rows in order, one fault at a time: the
+reference that nbibd's one-pass column parse and its array rule, shared
+by Design, Design.from_blocks and read_design, must match in the row
+they name and in the message.
 """
+
+from nbibd._util import parse_bool, parse_int, read_csv
+
+
+def parse_rows(path):
+    """The (judge_index, faculty, posters) triples of a design file, parsed one cell at a time.
+
+    parse_int and parse_bool go over the cells in row, then column
+    order, so the FileFormatError raised is the first faulty cell or
+    row width.
+    """
+    _, rows = read_csv(path)
+    return [
+        (
+            parse_int(row[0], path, number, "judge_index"),
+            parse_bool(row[1], path, number, "faculty"),
+            [parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])],
+        )
+        for number, row in rows
+    ]
 
 
 def first_fault(rows, t, k):

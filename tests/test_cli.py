@@ -19,7 +19,8 @@ from nbibd import (
     write_metrics,
     write_scores,
 )
-from nbibd.cli import main
+from nbibd import cli
+from nbibd.cli import build_parser, main
 from nbibd.design import Block, Design, DesignConfig
 
 design_module = importlib.import_module("nbibd.design")
@@ -61,6 +62,51 @@ def test_unknown_arguments_exit_two(capsys):
             main(argv)
         assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+# every subcommand with valid arguments, which an unknown flag then follows
+VALID_ARGV = {
+    "generate": ["--posters", "20", "--block-size", "4", "--judges", "12", "--kind", "nb2", "--out", "d.csv"],
+    "extend": ["--design", "d.csv", "--blocks", "1", "--kind", "nb2", "--seed", "1", "--out", "d.csv"],
+    "validate": ["d.csv"],
+    "score": ["--design", "d.csv", "--scores", "s.csv", "--out", "f.csv"],
+    "simulate": ["--out", "m.csv"],
+    "report": ["m.csv"],
+}
+BAD_INT = {"generate": "--posters", "extend": "--blocks", "validate": "--posters", "score": "--posters",
+           "simulate": "--iterations", "report": "--hist-bins"}
+BAD_CHOICE = {"generate": "--kind", "extend": "--kind", "validate": "--kind", "score": "--model", "simulate": "--preset"}
+PARSER_ARGVS = [[], ["--help"], ["-h"], ["--version"], ["extnd"], ["--bogus", "validate", "d.csv"],
+                ["--version", "extend"]]
+for command, valid in VALID_ARGV.items():
+    PARSER_ARGVS += [[command, "--help"], [command, "-h"], [command], [command, *valid, "--bogus"],
+                     [command, *valid, BAD_INT[command], "x"]]
+    if command in BAD_CHOICE:
+        PARSER_ARGVS.append([command, *valid, BAD_CHOICE[command], "bogus"])
+
+
+def parser_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    # argparse words its messages differently across Python versions, so the full parser
+    # built in this interpreter is the reference, byte for byte
+    expected = parser_outcome(capsys, lambda argv: build_parser().parse_args(argv), argv)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build_parser(command))
+    assert parser_outcome(capsys, main, argv) == expected
+    assert built == [argv[0] if argv and argv[0] in VALID_ARGV else None]
+
+
+def test_full_parser_names_the_command_argument(capsys):
+    # only a parser built for one command renames it, to print the full usage line
+    assert parser_outcome(capsys, main, [])[2].endswith("the following arguments are required: command\n")
+    assert "argument command: invalid choice" in parser_outcome(capsys, main, ["extnd"])[2]
 
 
 def test_generate_validate_round_trip(tmp_path, capsys):

@@ -23,7 +23,7 @@ from nbibd import (
 from nbibd.design import Block, Design
 from nbibd.generate import generate
 from connectivity_oracle import prefix_connected_flags
-from design_check_oracle import first_fault
+from design_check_oracle import first_fault, parse_rows
 from tally_oracle import tallies_match_oracle
 
 
@@ -450,6 +450,109 @@ def test_every_entry_point_reports_the_oracle_fault(tmp_path_factory, case, infe
         with pytest.raises(ValueError) as excinfo:
             Design.from_blocks(DesignConfig(t=t, k=k, b=len(rows)), blocks)
         assert str(excinfo.value) == f"block {number - 2}: {message}"
+
+
+def assert_reads_as_the_per_cell_rule(path, t):
+    """read_design gives what parse_rows and first_fault give, or the first fault they find, word for word."""
+    try:
+        rows = parse_rows(str(path))
+    except FileFormatError as error:
+        expected = error.row, str(error)
+    else:
+        k = len(rows[0][2])
+        if t is None:
+            t = min(1 + max(max(posters) for _, _, posters in rows), 2**63 - 1)
+        fault = first_fault(rows, t, k)
+        if fault is None:
+            design = read_design(str(path), t=t)
+            assert design.ids.dtype == np.int64
+            assert design.ids.tolist() == [posters for _, _, posters in rows]
+            blocks = [Block(judge, tuple(posters), faculty) for judge, faculty, posters in rows]
+            assert design.blocks == Design.from_blocks(DesignConfig(t=t, k=k, b=len(rows)), blocks).blocks
+            return
+        expected = fault[0], f"{path}:row {fault[0]}: {fault[1]}"
+    with pytest.raises(FileFormatError) as excinfo:
+        read_design(str(path), t=t)
+    assert (excinfo.value.row, str(excinfo.value)) == expected
+
+
+def test_read_design_reads_unusual_cells_as_the_per_cell_rule(tmp_path):
+    # int() reads a sign, spaces, underscores and other scripts' digits; a flag ignores case and spaces
+    path = tmp_path / "design.csv"
+    path.write_text(HEAD + "-0, TRUE , 7,+1\n+1,1,0_2,\u0663\n\u0662,0,-0,4\n0_3, false,5,\u0667\n", encoding="utf-8")
+    design = read_design(str(path))
+    assert design.ids.tolist() == [[7, 1], [2, 3], [0, 4], [5, 7]]
+    assert [block.faculty for block in design.blocks] == [True, True, False, False]
+    assert design.config.t == 8 and design.config.faculty_count == 2
+    assert_reads_as_the_per_cell_rule(path, None)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        # a width fault and a parse fault, in either order
+        HEAD + "0,true,x,1\n1,true,2\n",
+        HEAD + "0,true,0\n1,true,x,1\n",
+        HEAD + "0,true,0,1\n1,maybe,2\n",
+        # the largest int64 is a poster out of range, one more a parse fault, as is one below the least
+        HEAD + "0,true,0,9223372036854775807\n",
+        HEAD + "0,true,0,9223372036854775808\n",
+        HEAD + "9223372036854775808,true,0,1\n",
+        HEAD + "0,true,-9223372036854775809,1\n",
+        HEAD + "0,true,-9223372036854775808,1\n",
+    ],
+)
+def test_read_design_reports_parse_faults_as_the_per_cell_rule(tmp_path, content):
+    path = tmp_path / "design.csv"
+    path.write_text(content, encoding="utf-8")
+    assert_reads_as_the_per_cell_rule(path, None)
+
+
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def spellings(value):
+    """Spellings of an integer cell that int() reads as value."""
+    text = str(value)
+    spelled = [text, f" {text}", f"{text} ", text.translate(ARABIC_INDIC_DIGITS)]
+    if value >= 0:
+        spelled += [f"+{text}", f"0_{text}"]
+    if value == 0:
+        spelled.append("-0")
+    return spelled
+
+
+BAD_INT_CELLS = ["x", "", "7.0", "1__2", "0x1", "9223372036854775808", "-9223372036854775809", "9223372036854775807"]
+FLAG_CELLS = {True: ["true", " TRUE ", "1", "True"], False: ["false", "0", " False "]}
+
+
+@st.composite
+def spelled_design_files(draw):
+    """Design file lines whose cells are spelled in unusual ways, with some cells or widths at fault."""
+    t = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(t, 4)))
+    b = draw(st.integers(1, 5))
+    run = draw(st.integers(0, b))
+    lines = []
+    for j in range(b):
+        cells = [draw(st.sampled_from(spellings(j))), draw(st.sampled_from(FLAG_CELLS[j < run]))]
+        cells += [draw(st.sampled_from(spellings(poster))) for poster in draw(st.permutations(range(t)))[:k]]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, k + 1))] = draw(st.sampled_from(BAD_INT_CELLS + ["maybe", "2"]))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        lines.append(",".join(cells))
+    return t, k, lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=spelled_design_files(), infer=st.booleans())
+def test_read_design_parses_any_file_as_the_per_cell_rule(tmp_path_factory, case, infer):
+    t, k, lines = case
+    header = ",".join(["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(k)])
+    path = tmp_path_factory.mktemp("spelled") / "design.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    assert_reads_as_the_per_cell_rule(path, None if infer else t)
 
 
 def test_read_design_rejects_out_of_range_poster(tmp_path):

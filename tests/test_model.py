@@ -716,6 +716,9 @@ def test_scores_csv_round_trip(tmp_path):
         ("judge_index,poster_id,score\n0,0\n", "expected 3 columns, got 2", 2),
         ("judge_index,poster_id,score\n0,0,high\n", "score", 2),
         ("judge_index,poster_id,score\nnope,0,1.0\n", "judge_index", 2),
+        # the first faulty cell or row width in row, then column order
+        ("judge_index,poster_id,score\n0,0,1.0\n1,x,high\n0,1\n", "column 'poster_id' is not an integer", 3),
+        ("judge_index,poster_id,score\n0,0\n1,x,2.0\n", "expected 3 columns, got 2", 2),
         ("judge_index,poster_id,score\n", "no observations", None),
         ("judge_index,poster_id,score\n0,0,1.0\n0,0,2.0\n", "duplicate", None),
         ("judge_index,poster_id,score\n0,9,1.0\n", "poster id outside", None),
