@@ -358,11 +358,13 @@ def validate(design: Design) -> ValidationReport:
     np.minimum.at(first_block, design.ids, rows[:, None])
     covered = bool(replication.min() >= 1)
     faculty_run = min(b, design.config.faculty_blocks)
+    # the whole design is its last prefix, so the graph pass runs only when the rule fails
+    all_prefixes_connected = bool((first_block[design.ids[1:]] < rows[1:, None]).any(axis=1).all())
     return ValidationReport(
         replication_spread=int(replication.max() - replication.min()),
         max_concurrence=int(design.concurrence.max()),
-        connected=covered and is_connected(design),
-        all_prefixes_connected=bool((first_block[design.ids[1:]] < rows[1:, None]).any(axis=1).all()),
+        connected=covered and (all_prefixes_connected or is_connected(design)),
+        all_prefixes_connected=all_prefixes_connected,
         covered=covered,
         faculty_coverage_ok=b < design.config.b_min or bool((first_block < faculty_run).all()),
     )

@@ -14,11 +14,12 @@ likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
 Neither the n-by-n judge covariance nor any poster-by-poster matrix is
-ever formed.  One eigendecomposition of a judge-by-judge matrix serves
-every score table, whatever its judge sizes, and both fits: it prices
-each candidate theta of the search in O(b), and yields the estimates,
-standard errors and condition number at the winning theta, or at theta
-= infinity for the fixed fit.
+ever formed, and the poster-by-judge incidence is held sparse.  One
+eigendecomposition of a judge-by-judge matrix serves every score table,
+whatever its judge sizes, and both fits: it prices each candidate theta
+of the search in O(b), and yields the estimates, standard errors and
+condition number at the winning theta, or at theta = infinity for the
+fixed fit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_array
 
 from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
 from .design import Design
@@ -152,8 +154,9 @@ class FitResult:
     estimated theta: exactly 1 + theta*k for a random fit whose judges
     all have size k, and at most 1 + theta*max(k_j) for any random fit.
     The fixed model's, at theta = inf without the null eigenvalue, is 1
-    over the least canonical efficiency factor.  Either fit raises
-    SingularFit when it exceeds 1e12.
+    over the least canonical efficiency factor: k/mu_min for judges all
+    of size k, mu_min the least non-null eigenvalue of the judge matrix.
+    Either fit raises SingularFit when it exceeds 1e12.
     """
 
     model_kind: str
@@ -199,16 +202,18 @@ class _BlockTerms:
     """Theta-free statistics both fits reduce to the poster system.
 
     Scores are centered at their mean.  incidence is the poster-by-judge
-    0/1 matrix N over reviewed posters and present judges, counts the
-    replication D and v0 each poster's score sum; sizes and totals are
-    each present judge's block size and score total.
+    0/1 matrix N over reviewed posters and present judges, held sparse:
+    row i lists poster i's judges in ascending order, so it has n stored
+    ones however many judges there are.  counts is the replication D and
+    v0 each poster's score sum; sizes and totals are each present
+    judge's block size and score total.
     """
 
     reviewed: np.ndarray
     counts: np.ndarray
     v0: np.ndarray
     q0: float
-    incidence: np.ndarray
+    incidence: csr_array
     sizes: np.ndarray
     totals: np.ndarray
     n: int
@@ -225,13 +230,16 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
     center = float(y.mean())
     centered = y - center
 
-    counts = np.bincount(poster_col, minlength=p).astype(np.float64)
+    replication = np.bincount(poster_col, minlength=p)
+    counts = replication.astype(np.float64)
     v0 = np.bincount(poster_col, weights=centered, minlength=p)
     q0 = float(centered @ centered)
     sizes = np.bincount(judge_col, minlength=b_r)
     judge_totals = np.bincount(judge_col, weights=centered, minlength=b_r)
-    incidence = np.zeros((p, b_r))
-    incidence[poster_col, judge_col] = 1.0
+    # rows from the replication, each row's judges in ascending order
+    judge_order = judge_col[np.argsort(poster_col * b_r + judge_col)]
+    indptr = np.concatenate(([0], np.cumsum(replication)))
+    incidence = csr_array((np.ones(judge_order.size), judge_order, indptr), shape=(p, b_r))
     return _BlockTerms(
         reviewed=reviewed,
         counts=counts,
@@ -324,7 +332,11 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     The last sum of log det C is log det H, which the REML criterion
     adds back, so a solve reports log det H + log det C without either.
     A candidate theta costs O(b), and the winner's estimates and
-    diag(C^-1) need no factorization and no p-by-p inverse.  theta = inf
+    diag(C^-1) need no factorization and no p-by-p inverse.  N is
+    sparse, with n stored ones, and every product taken of it is sparse:
+    N' D^-1 N costs O(sum of squared replications) before it fills the
+    dense b_r-by-b_r M, N'm costs O(n) and F = (D^-1 N) V costs O(n b_r),
+    where a dense N would cost O(p b_r^2) for each of M and F.  theta = inf
     is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
     them, which makes C^-1 a generalized inverse of the singular C(inf);
     M has one null eigenvalue per connected set of judges, and the solve
@@ -333,15 +345,22 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
     + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
     diag(1/k) and it skips as many null eigenvalues as M has (Sylvester).
-    When every judge has the same size k and theta is finite, S^1/2 M
-    S^1/2 is a multiple of M, positive semidefinite with a null vector,
-    so the least is 1/(1 + theta k) exactly and no eigvalsh runs.
+    When every judge has the same size k, S^1/2 M S^1/2 is a multiple of
+    M, so no eigvalsh runs: at finite theta it is positive semidefinite
+    with a null vector and the least is 1/(1 + theta k) exactly, and at
+    theta = inf the system is M/k, whose least eigenvalue past the null
+    one is mu_min/k, the least canonical efficiency factor.  Only
+    unequal judge sizes take the second, b_r-by-b_r eigvalsh.
     """
-    scaled = terms.incidence / terms.counts[:, None]
-    judge_matrix = np.diag(terms.sizes) - terms.incidence.T @ scaled
+    incidence = terms.incidence
+    scaled = csr_array(
+        (np.repeat(1.0 / terms.counts, np.diff(incidence.indptr)), incidence.indices, incidence.indptr),
+        shape=incidence.shape,
+    )
+    judge_matrix = np.diag(terms.sizes) - (incidence.T @ scaled).toarray()
     mu, basis = np.linalg.eigh(judge_matrix)
     means = terms.v0 / terms.counts
-    delta = basis.T @ (terms.totals - terms.incidence.T @ means)
+    delta = basis.T @ (terms.totals - incidence.T @ means)
     # the null vectors are the indicators of connected sets of judges, on
     # which the adjusted totals sum to zero: pin both at exactly zero
     # where eigh leaves rounding noise, which theta would scale up
@@ -370,7 +389,9 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
 
         def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]:
             spread = scaled @ basis
-            if equal_sizes and not math.isinf(theta):
+            if equal_sizes and math.isinf(theta):
+                least = float(mu[skip]) / float(terms.sizes[0])
+            elif equal_sizes:
                 least = 1.0 / (1.0 + theta * float(terms.sizes[0]))
             else:
                 system = np.diag(1.0 / (1.0 + theta * terms.sizes)) + root[:, None] * judge_matrix * root
@@ -395,7 +416,10 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     column, T its score total), which is the random fit's system in the
     limit theta -> infinity.  The judge spectrum solves it at that
     limit; C has the null vector 1 on a connected design, and the
-    spectral solution uses a generalized inverse G of C.  The constant
+    spectral solution uses a generalized inverse G of C.  The weights w
+    below are one sparse product with the incidence, and on equal judge
+    sizes k the condition number is k/mu_min, read from the judge
+    spectrum the solve already took.  The constant
     is then set so the judge effects sum to zero, which makes the
     estimates mu + P_i, and the standard errors come from the same
     contrast, on which every generalized inverse agrees.  Needs a

@@ -249,6 +249,28 @@ def test_is_connected_prefixes():
     assert outcomes >= {(True, True, True), (True, True, False), (True, False, False), (False, False, True)}
 
 
+def test_validate_runs_the_graph_pass_only_when_a_prefix_splits(monkeypatch):
+    # every prefix connected includes the whole design, so validate needs
+    # is_connected only when the first-seen rule fails somewhere
+    calls = []
+
+    def spy(design, prefix_len=None):
+        calls.append(prefix_len)
+        return is_connected(design, prefix_len)
+
+    monkeypatch.setattr("nbibd.design.is_connected", spy)
+    nb2 = generate(DesignConfig(t=30, k=4, b=20, seed=1), "nb2")[0]
+    split = make_design(4, 2, [(0, 1), (2, 3)])
+    mended = make_design(4, 2, [(0, 1), (2, 3), (1, 2)])
+    for design, all_prefixes, connected in ((nb2, True, True), (split, False, False), (mended, False, True)):
+        calls.clear()
+        report = validate(design)
+        assert calls == ([] if all_prefixes else [None])
+        flags = prefix_connected_flags(design.t, design.ids.tolist())
+        assert (report.covered, report.all_prefixes_connected, report.connected) == (True, all(flags), flags[-1])
+        assert (all(flags), flags[-1]) == (all_prefixes, connected)
+
+
 def test_is_connected_rejects_bad_prefix():
     design = make_design(4, 2, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):

@@ -351,12 +351,13 @@ def test_histogram_bins_a_series_that_differs_only_by_rounding(tmp_path):
 
 # sha256 of each study file at the shape below, re-recorded when the
 # random fit's criterion dropped log det H against the same term of
-# log det C, which moves theta in its last digits; a change to any byte
+# log det C, and again when the judge matrix came from a sparse
+# incidence; each moves theta in its last digits.  A change to any byte
 # of these formats, or to the summary arithmetic, shows up here
 STUDY_GOLDEN = {
-    "metrics.csv": "14d911908a747193103c73724d76cca03ad8aee40066270692a3294ec2e9bfe7",
-    "summary.csv": "7afea75181e8ae6592b08e658ea11dfc1c5a504cb9c5739220dbca9b92622a96",
-    "hist.csv": "c69665526ea9f383381e2b797b57defce848ec6f560da17243c695f392b6b3bc",
+    "metrics.csv": "3d852dd587e39be90cc6d94a2e0f0e9d16acb09bdf924cc89b5d0361522632d8",
+    "summary.csv": "f785ea707f8c87bc0be2fe61682ee934699a960c1746ac4b93866e5db28d93d4",
+    "hist.csv": "8b7da24b89bd2e047628146d2f9d9031af7f3b7ee7aa0c3e8f63028bbfe43758",
 }
 
 
