@@ -14,12 +14,14 @@ the Block views are derived on first use.
 Design(config, ids), Design.from_blocks and read_design name the same
 first faulty block for the same reason: all three ask _first_fault.
 
-Connectivity follows two array rules.  Every prefix is connected iff
-each block j >= 1 holds a poster first seen before block j: by induction
-on prefixes, a block that shares a poster with a connected prefix joins
-its component and a block of unseen posters starts a new one.  One
-prefix is connected iff a connected_components pass over its
-judge-poster graph gives every judge the same label.
+A design is connected when every poster is reviewed and the co-review
+graph has one component: is_connected counts the components of the
+judge-poster graph over all b + t nodes, where an unreviewed poster is a
+component of its own.  Every prefix is connected, among the posters it
+reviews, iff each block j >= 1 holds a poster first seen before block j:
+by induction on prefixes, a block that shares a poster with a connected
+prefix joins its component and a block of unseen posters starts a new
+one.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "required_blocks",
     "min_connect_blocks",
     "max_faculty_reviews",
-    "recount",
     "is_connected",
     "validate",
     "write_design",
@@ -173,8 +174,8 @@ class Design:
     ids[j] is judge j's block, a faculty block when j < faculty_blocks.
     The rest is derived from ids on first use: replication[i] counts
     reviews of poster i, concurrence[i, j] blocks containing both i and
-    j (t x t, int64, zero diagonal), and blocks is one Block view per
-    row.  recount() re-derives both tallies and must agree exactly.
+    j (t x t, int64, zero diagonal), both read-only, and blocks is one
+    Block view per row.
     Construction checks that ids is a (b, k) integer array with no
     faulty block under the design's own judges and faculty flags.
     """
@@ -201,11 +202,18 @@ class Design:
 
     @cached_property
     def replication(self) -> np.ndarray:
-        return _replication(self.t, self.ids)
+        replication = np.bincount(self.ids.ravel(), minlength=self.t).astype(np.int64, copy=False)
+        replication.flags.writeable = False
+        return replication
 
     @cached_property
     def concurrence(self) -> np.ndarray:
-        return _concurrence(self.t, self.ids)
+        """Pair tally: a bincount of the within-block codes i*t + j, i != j."""
+        t, k = self.t, self.k
+        codes = (self.ids[:, :, None] * t + self.ids[:, None, :])[:, ~np.eye(k, dtype=bool)]
+        concurrence = np.bincount(codes.ravel(), minlength=t * t).astype(np.int64, copy=False).reshape(t, t)
+        concurrence.flags.writeable = False
+        return concurrence
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -229,14 +237,13 @@ class Design:
 class ValidationReport:
     """Structural summary of a design.
 
-    connected means every poster is reviewed and is_connected holds for
-    the whole design; all_prefixes_connected applies the
-    reviewed-posters-only rule to every prefix of the block sequence,
-    which by induction on prefixes holds iff every block after the first
-    shares a poster with the blocks before it.  faculty_coverage_ok
-    requires every poster to appear in at least one faculty-flagged
-    block once b reaches min_connect_blocks (vacuously true for shorter
-    designs).
+    connected is is_connected: every poster reviewed and one co-review
+    component.  all_prefixes_connected applies the reviewed-posters-only
+    rule to every prefix of the block sequence, which by induction on
+    prefixes holds iff every block after the first shares a poster with
+    the blocks before it.  faculty_coverage_ok requires every poster to
+    appear in at least one faculty-flagged block once b reaches
+    min_connect_blocks (vacuously true for shorter designs).
     """
 
     replication_spread: int
@@ -295,61 +302,23 @@ def _faculty_count(config: DesignConfig, faculty: np.ndarray) -> int | None:
     return config.faculty_count if run == min(len(faculty), config.faculty_blocks) else run
 
 
-def _replication(t: int, ids: np.ndarray) -> np.ndarray:
-    return np.bincount(ids.ravel(), minlength=t).astype(np.int64, copy=False)
+def is_connected(design: Design) -> bool:
+    """True when every poster is reviewed and the co-review graph has one component.
 
-
-def _concurrence(t: int, ids: np.ndarray) -> np.ndarray:
-    """Pair tally of a (b, k) block array: a bincount of the codes i*t + j, i != j."""
-    k = ids.shape[1]
-    codes = (ids[:, :, None] * t + ids[:, None, :])[:, ~np.eye(k, dtype=bool)]
-    return np.bincount(codes.ravel(), minlength=t * t).astype(np.int64, copy=False).reshape(t, t)
-
-
-def recount(design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute replication and concurrence from the blocks alone.
-
-    Both arrays are fresh, never the design's own: a bincount of the
-    poster ids and one of the within-block pair codes.  The brute-force
-    nested-loop tally that checks them lives in the tests.
+    One connected_components pass labels the judge-poster graph, judge j
+    node j and poster i node b + i; an unreviewed poster is an isolated
+    node, so the count is 1 only when every poster is reviewed.
     """
-    return _replication(design.t, design.ids), _concurrence(design.t, design.ids)
-
-
-def is_connected(design: Design, prefix_len: int | None = None) -> bool:
-    """True when the posters reviewed in the first prefix_len blocks form one component.
-
-    Vertices are the posters with at least one review inside the prefix;
-    edges join posters sharing a block.  Posters the prefix never touches
-    are excluded, so a prefix can be connected before full coverage.
-    prefix_len defaults to the full design.  One connected_components
-    pass labels the prefix's judge-poster graph (judge j is node j, poster
-    i node prefix_len + i); the prefix is connected iff every judge has
-    the same label, and unreviewed posters, isolated nodes, never count.
-    """
-    b = design.b
-    if prefix_len is None:
-        prefix_len = b
-    if not 1 <= prefix_len <= b:
-        raise ValueError(f"prefix_len must be in [1, {b}], got {prefix_len}")
-    nodes, edges = prefix_len + design.t, prefix_len * design.k
-    indptr = np.minimum(np.arange(nodes + 1) * design.k, edges)
-    graph = csr_array((np.ones(edges), design.ids[:prefix_len].ravel() + prefix_len, indptr), shape=(nodes, nodes))
-    _, labels = connected_components(graph, directed=True, connection="weak")
-    return bool((labels[:prefix_len] == labels[0]).all())
+    b, nodes = design.b, design.b + design.t
+    indptr = np.minimum(np.arange(nodes + 1) * design.k, b * design.k)
+    graph = csr_array((np.ones(b * design.k), design.ids.ravel() + b, indptr), shape=(nodes, nodes))
+    return bool(connected_components(graph, directed=True, connection="weak")[0] == 1)
 
 
 def validate(design: Design) -> ValidationReport:
     """Compute the structural report: balance, concurrence, coverage, connectivity."""
-    t, k, b = design.t, design.k, design.b
+    t, b = design.t, design.b
     replication = design.replication
-    total_reviews = int(replication.sum())
-    if total_reviews != b * k:
-        raise RuntimeError(f"replication total {total_reviews} != b*k = {b * k}; tallies corrupted")
-    pair_total = int(design.concurrence.sum())
-    if pair_total != b * k * (k - 1):
-        raise RuntimeError(f"concurrence total {pair_total} != b*k*(k-1) = {b * k * (k - 1)}; tallies corrupted")
-
     # each poster's first block (b if unreviewed): every prefix is connected iff each later
     # block holds a poster seen earlier, and the faculty cover every poster iff each is first
     # seen in a faculty block

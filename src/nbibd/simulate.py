@@ -236,8 +236,7 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
         except NB1InfeasibleBudget:
             failures.append(kind)
             continue
-        covered = bool(design.replication.min() >= 1)
-        disconnected = not (covered and is_connected(design))
+        disconnected = not is_connected(design)
         table = ScoreTable.from_design_matrix(design, matrix)
         try:
             fit = fit_random(design, table)
@@ -262,17 +261,16 @@ def _iteration_task(task: tuple[SimParams, int]) -> IterationResult:
 
 
 def _worker_count(params: SimParams, workers: int | None) -> int:
+    source = "worker count"
     if workers is None:
-        env = os.environ.get("NBIBD_THREADS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"NBIBD_THREADS must be an integer, got {env!r}") from None
-        else:
-            workers = 0
+        source = "NBIBD_THREADS"
+        env = os.environ.get(source, "").strip()
+        try:
+            workers = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"NBIBD_THREADS must be an integer, got {env!r}") from None
     if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
+        raise ValueError(f"{source} must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, params.iterations))

@@ -398,6 +398,17 @@ def test_simulate_rejects_bad_overrides(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_simulate_names_a_negative_thread_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NBIBD_THREADS", "-1")
+    captured = run(
+        capsys,
+        ["simulate", "--iterations", "2", "--out", str(tmp_path / "m.csv")],
+        expect=1,
+    )
+    assert "error: NBIBD_THREADS must be >= 0, got -1" in captured.err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_report_default_output_name(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NBIBD_THREADS", "1")
     metrics = tmp_path / "metrics.csv"

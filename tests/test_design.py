@@ -227,6 +227,12 @@ def _generated_designs():
                 yield generate(DesignConfig(t=t, k=k, b=b, seed=seed), kind)[0]
 
 
+def reviewed_prefix(design, p):
+    """The first p blocks as a design over only the posters they review, renumbered from 0."""
+    reviewed, ids = np.unique(design.ids[:p], return_inverse=True)
+    return Design(DesignConfig(t=reviewed.size, k=design.k, b=p), ids.reshape(p, design.k))
+
+
 def test_is_connected_prefixes():
     designs = []
     for (t, k, blocks), expected in HAND_BUILT_PREFIXES:
@@ -238,9 +244,11 @@ def test_is_connected_prefixes():
     outcomes = set()
     for design in designs:
         flags = prefix_connected_flags(design.t, design.ids.tolist())
-        assert [is_connected(design, prefix_len=p) for p in range(1, design.b + 1)] == flags
-        assert is_connected(design) == flags[-1]
+        # a prefix's reviewed posters are all covered once renumbered, so
+        # the whole-design count gives the oracle's flag for every prefix
+        assert [is_connected(reviewed_prefix(design, p)) for p in range(1, design.b + 1)] == flags
         report = validate(design)
+        assert is_connected(design) == (report.covered and flags[-1])
         assert report.all_prefixes_connected == all(flags)
         assert report.connected == (report.covered and flags[-1])
         outcomes.add((report.covered, report.connected, report.all_prefixes_connected))
@@ -254,9 +262,9 @@ def test_validate_runs_the_graph_pass_only_when_a_prefix_splits(monkeypatch):
     # is_connected only when the first-seen rule fails somewhere
     calls = []
 
-    def spy(design, prefix_len=None):
-        calls.append(prefix_len)
-        return is_connected(design, prefix_len)
+    def spy(design):
+        calls.append(design)
+        return is_connected(design)
 
     monkeypatch.setattr("nbibd.design.is_connected", spy)
     nb2 = generate(DesignConfig(t=30, k=4, b=20, seed=1), "nb2")[0]
@@ -265,24 +273,16 @@ def test_validate_runs_the_graph_pass_only_when_a_prefix_splits(monkeypatch):
     for design, all_prefixes, connected in ((nb2, True, True), (split, False, False), (mended, False, True)):
         calls.clear()
         report = validate(design)
-        assert calls == ([] if all_prefixes else [None])
+        assert calls == ([] if all_prefixes else [design])
         flags = prefix_connected_flags(design.t, design.ids.tolist())
         assert (report.covered, report.all_prefixes_connected, report.connected) == (True, all(flags), flags[-1])
         assert (all(flags), flags[-1]) == (all_prefixes, connected)
 
 
-def test_is_connected_rejects_bad_prefix():
-    design = make_design(4, 2, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        is_connected(design, prefix_len=0)
-    with pytest.raises(ValueError):
-        is_connected(design, prefix_len=3)
-
-
 def test_connected_report_requires_coverage():
     # the reviewed posters form one component, but poster 4 is never reviewed
     design = make_design(5, 2, [(0, 1), (1, 2), (2, 3)])
-    assert is_connected(design)
+    assert not is_connected(design)
     report = validate(design)
     assert not report.covered
     assert not report.connected
@@ -321,15 +321,19 @@ def test_validate_faculty_coverage():
 
 
 def test_validate_detects_corrupted_tallies():
+    # a tally cannot be corrupted in place, so validate always reports
+    # the tallies of the design's own ids
     design = make_design(4, 2, [(0, 1), (1, 2), (2, 3)])
-    design.replication[0] += 1
-    with pytest.raises(RuntimeError):
-        validate(design)
-    # the pair tally, derived on first read, is checked as well
-    design = make_design(4, 2, [(0, 1), (1, 2), (2, 3)])
-    design.concurrence[0, 1] += 1
-    with pytest.raises(RuntimeError, match="concurrence total"):
-        validate(design)
+    before = validate(design)
+    with pytest.raises(ValueError):
+        design.replication[0] += 1
+    # the pair tally, derived on first read, refuses the write as well
+    with pytest.raises(ValueError):
+        design.concurrence[0, 1] += 1
+    assert tallies_match_oracle(design)
+    after = validate(design)
+    assert after == before
+    assert (after.replication_spread, after.max_concurrence) == (1, 1)
 
 
 def test_design_csv_roundtrip(tmp_path):

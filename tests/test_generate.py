@@ -18,7 +18,6 @@ from nbibd import (
     generate,
     is_connected,
     read_design,
-    recount,
     validate,
     write_design,
 )
@@ -28,7 +27,6 @@ from draw_oracle import OracleRestart, append_blocks, oracle_generate
 from tally_oracle import tallies_match_oracle
 
 # the package re-exports the function generate under the module's name
-design_module = importlib.import_module("nbibd.design")
 generate_module = importlib.import_module("nbibd.generate")
 
 # fractional replication (b*k not a multiple of t) keeps the final
@@ -279,10 +277,10 @@ def test_nb2_arrival_forms_no_pair_tally(tmp_path, monkeypatch):
     path = tmp_path / "design.csv"
     write_design(str(path), base)
 
-    def refuse(t, ids):
+    def refuse(design):
         raise AssertionError("a t x t pair tally was formed")
 
-    monkeypatch.setattr(design_module, "_concurrence", refuse)
+    monkeypatch.setattr(Design, "concurrence", property(refuse))
     grown = extend(read_design(str(path), seed=9), 3, "nb2")
     write_design(str(path), grown)
     argv = ["extend", "--design", str(path), "--blocks", "1", "--kind", "nb2", "--seed", "9", "--out", str(path)]
@@ -346,9 +344,13 @@ def test_ids_are_read_only_on_every_path(tmp_path):
     write_design(str(path), extended)
     rebuilt = Design.from_blocks(design.config, design.blocks)
     for built in (design, extended, rebuilt, read_design(str(path))):
-        assert not built.ids.flags.writeable
-        with pytest.raises(ValueError):
-            built.ids[0, 0] = 1
+        # the tallies too: a corrupted tally never reaches a report
+        for array in (built.ids, built.replication, built.concurrence):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+            with pytest.raises(ValueError):
+                array[0] += 1
     assert np.array_equal(design.ids, before)
     assert not design.ids.flags.writeable
 
@@ -473,9 +475,7 @@ def generated(config, kind):
 def test_generated_tallies_match_recount(config, kind):
     design = generated(config, kind)
     if design is not None:
-        replication, concurrence = recount(design)
-        assert np.array_equal(replication, design.replication)
-        assert np.array_equal(concurrence, design.concurrence)
+        assert tallies_match_oracle(design)
 
 
 @settings(max_examples=60, deadline=None)

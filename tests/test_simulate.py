@@ -140,7 +140,7 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("NBIBD_THREADS", "7")
     assert _worker_count(params, 1) == 1
     assert _worker_count(params, 99) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="worker count must be >= 0, got -1"):
         _worker_count(params, -1)
 
 
