@@ -32,8 +32,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from ._util import FileFormatError, parse_columns, read_csv, write_csv
 
@@ -309,6 +307,11 @@ def is_connected(design: Design) -> bool:
     node j and poster i node b + i; an unreviewed poster is an isolated
     node, so the count is 1 only when every poster is reviewed.
     """
+    # imported here: validate calls this only when the first-seen rule
+    # fails, so generate, extend and validate otherwise never load scipy
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     b, nodes = design.b, design.b + design.t
     indptr = np.minimum(np.arange(nodes + 1) * design.k, b * design.k)
     graph = csr_array((np.ones(b * design.k), design.ids.ravel() + b, indptr), shape=(nodes, nodes))

@@ -262,6 +262,23 @@ def _append_blocks(
     return rejected
 
 
+def _nb1_counting_fault(t: int, k: int, b: int) -> str | None:
+    """Why no nb1 design exists at (t, k, b) by counting, or None when the bound holds.
+
+    Some poster is reviewed at least ceil(bk/t) times, and with no pair
+    meeting twice each review needs k-1 partners it has not met among the
+    other t-1 posters, so ceil(bk/t)*(k-1) > t-1 rules nb1 out.
+    """
+    busiest = -(-b * k // t)
+    if busiest * (k - 1) <= t - 1:
+        return None
+    return (
+        f"no nb1 design exists at t={t}, k={k}, b={b}: some poster is reviewed at least "
+        f"ceil(bk/t) = {busiest} times, and meeting k-1 = {k - 1} new posters each time takes "
+        f"{busiest * (k - 1)} > t-1 = {t - 1} partners"
+    )
+
+
 def generate(
     config: DesignConfig,
     kind: GeneratorKind | str,
@@ -276,24 +293,19 @@ def generate(
     exactly one output.  After restart_budget restarts the parameter
     combination is deemed infeasible and NB1InfeasibleBudget is raised;
     a negative restart_budget raises ValueError.  nb1 raises
-    NB1InfeasibleBudget before it draws when ceil(bk/t)*(k-1) > t-1: some
-    poster is reviewed at least ceil(bk/t) times, and with no pair
-    meeting twice each review needs k-1 partners it has not met among
-    the other t-1 posters.  The random baseline raises ValueError when
-    b*k < t, since it promises coverage.
+    NB1InfeasibleBudget before it draws when the counting bound
+    ceil(bk/t)*(k-1) <= t-1 fails (_nb1_counting_fault).  The random
+    baseline raises ValueError when b*k < t, since it promises coverage.
     """
     if restart_budget < 0:
         raise ValueError(f"restart_budget must be >= 0, got {restart_budget}")
     kind = GeneratorKind(kind)
     if kind is GeneratorKind.RANDOM and config.b * config.k < config.t:
         raise ValueError(f"cannot cover {config.t} posters with {config.b} blocks of size {config.k}")
-    busiest = -(-config.b * config.k // config.t)
-    if kind is GeneratorKind.NB1 and busiest * (config.k - 1) > config.t - 1:
-        raise NB1InfeasibleBudget(
-            f"no nb1 design exists at t={config.t}, k={config.k}, b={config.b}: some poster is reviewed at least "
-            f"ceil(bk/t) = {busiest} times, and meeting k-1 = {config.k - 1} new posters each time takes "
-            f"{busiest * (config.k - 1)} > t-1 = {config.t - 1} partners"
-        )
+    if kind is GeneratorKind.NB1:
+        fault = _nb1_counting_fault(config.t, config.k, config.b)
+        if fault is not None:
+            raise NB1InfeasibleBudget(fault)
     rng = _new_stream(config.seed)
     restarts = 0
     rejected_total = 0

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.sparse import csr_array
 
 from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
 from .design import Design
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "ScoreTable",
@@ -204,9 +205,11 @@ class _BlockTerms:
     Scores are centered at their mean.  incidence is the poster-by-judge
     0/1 matrix N over reviewed posters and present judges, held sparse:
     row i lists poster i's judges in ascending order, so it has n stored
-    ones however many judges there are.  counts is the replication D and
-    v0 each poster's score sum; sizes and totals are each present
-    judge's block size and score total.
+    ones however many judges there are.  transposed is N' built row by
+    row, judge j's posters in ascending order, so products with N' need
+    no conversion of N.  counts is the replication D and v0 each
+    poster's score sum; sizes and totals are each present judge's block
+    size and score total.
     """
 
     reviewed: np.ndarray
@@ -214,6 +217,7 @@ class _BlockTerms:
     v0: np.ndarray
     q0: float
     incidence: csr_array
+    transposed: csr_array
     sizes: np.ndarray
     totals: np.ndarray
     n: int
@@ -222,6 +226,10 @@ class _BlockTerms:
 
 
 def _block_terms(scores: ScoreTable) -> _BlockTerms:
+    # imported here: only the fits use scipy.sparse, and nbibd's design
+    # commands should not pay for loading it
+    from scipy.sparse import csr_array
+
     posters, judges, y = scores.posters, scores.judges, scores.scores
     reviewed, poster_col = np.unique(posters, return_inverse=True)
     judges_present, judge_col = np.unique(judges, return_inverse=True)
@@ -240,12 +248,17 @@ def _block_terms(scores: ScoreTable) -> _BlockTerms:
     judge_order = judge_col[np.argsort(poster_col * b_r + judge_col)]
     indptr = np.concatenate(([0], np.cumsum(replication)))
     incidence = csr_array((np.ones(judge_order.size), judge_order, indptr), shape=(p, b_r))
+    # N' likewise: rows from the judge sizes, each row's posters in ascending order
+    poster_order = poster_col[np.argsort(judge_col * p + poster_col)]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    transposed = csr_array((np.ones(poster_order.size), poster_order, indptr), shape=(b_r, p))
     return _BlockTerms(
         reviewed=reviewed,
         counts=counts,
         v0=v0,
         q0=q0,
         incidence=incidence,
+        transposed=transposed,
         sizes=sizes,
         totals=judge_totals,
         n=int(y.size),
@@ -352,15 +365,18 @@ def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
     one is mu_min/k, the least canonical efficiency factor.  Only
     unequal judge sizes take the second, b_r-by-b_r eigvalsh.
     """
+    # imported here, like _block_terms's: only the fits use scipy.sparse
+    from scipy.sparse import csr_array
+
     incidence = terms.incidence
     scaled = csr_array(
         (np.repeat(1.0 / terms.counts, np.diff(incidence.indptr)), incidence.indices, incidence.indptr),
         shape=incidence.shape,
     )
-    judge_matrix = np.diag(terms.sizes) - (incidence.T @ scaled).toarray()
+    judge_matrix = np.diag(terms.sizes) - (terms.transposed @ scaled).toarray()
     mu, basis = np.linalg.eigh(judge_matrix)
     means = terms.v0 / terms.counts
-    delta = basis.T @ (terms.totals - incidence.T @ means)
+    delta = basis.T @ (terms.totals - terms.transposed @ means)
     # the null vectors are the indicators of connected sets of judges, on
     # which the adjusted totals sum to zero: pin both at exactly zero
     # where eigh leaves rounding noise, which theta would scale up
@@ -498,6 +514,10 @@ def _search_theta(
     (converged, sigma2, winning solve); the winner is the solve the
     search already made.
     """
+    # imported here: only the random fit searches, and nbibd's design
+    # commands should not pay for loading scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     zero_criterion, zero_sigma2 = _profile(terms, at_zero)
     best: tuple[float, float, _Solve] | None = None
 

@@ -19,15 +19,13 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from ._util import FileFormatError, format_float, parse_bool, parse_float, parse_int, read_csv, write_csv
 from .design import DesignConfig, is_connected
-from .generate import GeneratorKind, NB1InfeasibleBudget, generate
+from .generate import GeneratorKind, NB1InfeasibleBudget, _nb1_counting_fault, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
 
 __all__ = [
@@ -114,6 +112,11 @@ class SimParams:
                 f"nb1 and nb2 reach at most k + (b-1)(k-1) = {reach} of {self.t} posters with {self.b} "
                 f"judges of {self.k} reviews; they need at least {least} judges"
             )
+        if GeneratorKind.NB1 in kinds:
+            # generate would raise before drawing on every iteration
+            fault = _nb1_counting_fault(self.t, self.k, self.b)
+            if fault is not None:
+                raise ValueError(f"{fault}; leave nb1 out of designs")
 
 
 PRESETS: dict[str, SimParams] = {
@@ -286,6 +289,9 @@ def run_iterations(params: SimParams, workers: int | None = None) -> list[Iterat
     count = _worker_count(params, workers)
     if count == 1:
         return [run_iteration(params, index) for index in range(params.iterations)]
+    # imported here: only a pooled run needs multiprocessing
+    from multiprocessing import get_context
+
     tasks = [(params, index) for index in range(params.iterations)]
     try:
         context = get_context("fork")
@@ -329,6 +335,10 @@ def _difference_summary(
     first: GeneratorKind, second: GeneratorKind, metric: str, diffs: np.ndarray
 ) -> DifferenceSummary:
     """The metric summary of paired differences plus a paired-t 95% interval on their mean."""
+    # imported here: scipy.stats costs a third of a second to load, and
+    # only simulate and report read this quantile
+    from scipy.stats import t as student_t
+
     summary = _metric_summary(diffs)
     half = math.nan
     if summary.n > 1:

@@ -2,6 +2,11 @@
 
 import csv
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +251,72 @@ def test_production_paths_build_no_block(tmp_path, capsys, monkeypatch):
     assert not result.failures
     with pytest.raises(AssertionError, match="Block"):
         design.blocks
+
+
+# runs each argv through cli.main in this interpreter, then reports the
+# exit codes and every loaded module of the scipy package
+_MODULE_PROBE = """
+import json, sys
+from nbibd import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def fresh_run(commands):
+    """(stdout lines, exit codes, scipy modules) of commands run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    *lines, last = done.stdout.splitlines()
+    probe = json.loads(last)
+    return lines, probe["codes"], set(probe["scipy"])
+
+
+def test_design_commands_load_no_scipy(tmp_path):
+    # a judge arrival (extend, then validate) and generate import numpy
+    # alone: scipy loads where the fits, the study and is_connected call it
+    path = str(tmp_path / "design.csv")
+    lines, codes, scipy_modules = fresh_run([
+        GEN + ["--kind", "nb2", "--seed", "7", "--out", path],
+        ["extend", "--design", path, "--blocks", "3", "--kind", "nb2", "--seed", "7", "--out", path],
+        ["validate", path, "--kind", "nb2"],
+    ])
+    assert codes == [0, 0, 0]
+    assert "all_prefixes_connected=true" in lines[-1]
+    assert scipy_modules == set()
+
+
+def test_score_loads_the_fit_layers_but_not_scipy_stats(tmp_path, capsys):
+    path = str(tmp_path / "design.csv")
+    run(capsys, GEN + ["--kind", "nb2", "--seed", "7", "--out", path])
+    scores = str(tmp_path / "scores.csv")
+    design = read_design(path)
+    write_scores(scores, ScoreTable.from_design_matrix(design, np.random.default_rng(1).normal(70.0, 8.0, (30, 12))))
+    _, codes, scipy_modules = fresh_run([
+        ["score", "--design", path, "--scores", scores, "--model", model, "--out", str(tmp_path / f"{model}.csv")]
+        for model in ("random", "fixed")
+    ])
+    assert codes == [0, 0]
+    assert {"scipy.optimize", "scipy.sparse"} <= scipy_modules
+    assert "scipy.stats" not in scipy_modules
+
+
+def test_validate_of_a_prefix_disconnected_design_in_a_fresh_interpreter(tmp_path):
+    # the first-seen rule fails on both files, so validate asks
+    # is_connected, whose scipy import happens at that call
+    bridged = tmp_path / "bridged.csv"
+    blocks = [Block(0, (0, 1, 2), True), Block(1, (3, 4, 5), True), Block(2, (0, 3, 4), True)]
+    write_design(str(bridged), Design.from_blocks(DesignConfig(t=6, k=3, b=3, seed=0), blocks))
+    cliques = tmp_path / "cliques.csv"
+    write_two_clique_design(cliques)
+    lines, codes, scipy_modules = fresh_run([["validate", str(bridged)], ["validate", str(cliques)]])
+    assert codes == [0, 1]
+    assert "covered=true connected=true all_prefixes_connected=false" in lines[0]
+    assert "covered=true connected=false all_prefixes_connected=false" in lines[1]
+    assert "scipy.sparse.csgraph" in scipy_modules
 
 
 def test_score_complete_block_recovers_raw_means(tmp_path, capsys):

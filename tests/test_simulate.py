@@ -16,6 +16,7 @@ from nbibd import (
     FileFormatError,
     GeneratorKind,
     IterationResult,
+    NB1InfeasibleBudget,
     SimParams,
     SimStudyReport,
     aggregate_results,
@@ -183,11 +184,29 @@ def test_difference_summary_sign_and_interval():
         summarize_differences(narrow, ("nb1", "random"), "win_prop")
 
 
-def test_infeasible_nb1_kind_is_recorded_as_failure():
-    # counting rules out a pair-concurrence-1 design at this shape, so
-    # nb1 fails before drawing while the other kinds are still scored
-    params = SimParams(t=10, k=5, b=20, awards=3, iterations=1)
-    result = run_iteration(params, 0)
+def test_params_reject_nb1_shapes_counting_rules_out():
+    # ceil(bk/t)*(k-1) > t-1 rules out a pair-concurrence-1 design:
+    # 10*4 > 9 at t=10, k=5, b=20 and 3*3 > 8 at t=9, k=4, b=5, where
+    # every iteration used to record nb1 as a failure
+    for t, k, b in ((10, 5, 20), (9, 4, 5)):
+        with pytest.raises(ValueError, match=r"ceil\(bk/t\) = .* > t-1 = .*leave nb1 out"):
+            SimParams(t=t, k=k, b=b, awards=3, iterations=1)
+        params = SimParams(t=t, k=k, b=b, awards=3, iterations=1, designs=("nb2", "random"))
+        assert params.designs == (NB2, RANDOM)
+
+
+def test_infeasible_nb1_kind_is_recorded_as_failure(monkeypatch):
+    # nb1 can still spend its whole restart budget on a shape the bound
+    # lets through; it fails while the other kinds are still scored
+    real_generate = simulate_module.generate
+
+    def generate(config, kind):
+        if GeneratorKind(kind) is NB1:
+            raise NB1InfeasibleBudget("gave up after 50 restarts")
+        return real_generate(config, kind)
+
+    monkeypatch.setattr(simulate_module, "generate", generate)
+    result = run_iteration(small_params(iterations=1), 0)
     assert result.failures == (NB1,)
     assert set(result.metrics) == {NB2, RANDOM}
     for entry in result.metrics.values():
