@@ -14,27 +14,25 @@ likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 
 Neither the n-by-n judge covariance nor any poster-by-poster matrix is
-ever formed, and the poster-by-judge incidence is held sparse.  One
-eigendecomposition of a judge-by-judge matrix serves every score table,
-whatever its judge sizes, and both fits: it prices each candidate theta
-of the search in O(b), and yields the estimates, standard errors and
-condition number at the winning theta, or at theta = infinity for the
-fixed fit.
+ever formed, and the poster-by-judge incidence is held sparse.  Each
+fit builds one _JudgeSpectrum from its score table: the theta-free
+statistics and one eigendecomposition of a judge-by-judge matrix, for
+any judge sizes and for both fits.  Asked at a theta, it prices a
+candidate of the search in O(b), and yields the estimates, standard
+errors and condition number at the winning theta, or at theta =
+infinity for the fixed fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
 from .design import Design
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 __all__ = [
     "ScoreTable",
@@ -75,6 +73,11 @@ class ScoreTable:
     b: int
 
     def __post_init__(self) -> None:
+        for ids, name in ((self.judges, "judge indices"), (self.posters, "poster ids")):
+            ids = np.asarray(ids)
+            # an integer-valued float is an id; any other would truncate silently
+            if ids.dtype.kind == "f" and not (np.isfinite(ids) & (ids == np.trunc(ids))).all():
+                raise ValueError(f"{name} must be integers")
         judges = np.asarray(self.judges, dtype=np.int64)
         posters = np.asarray(self.posters, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -198,73 +201,150 @@ def _check_table(design: Design, scores: ScoreTable) -> None:
         )
 
 
-@dataclass
-class _BlockTerms:
-    """Theta-free statistics both fits reduce to the poster system.
+class _JudgeSpectrum:
+    """Theta-free statistics both fits reduce to the poster system, and their judge spectrum.
 
     Scores are centered at their mean.  incidence is the poster-by-judge
     0/1 matrix N over reviewed posters and present judges, held sparse:
     row i lists poster i's judges in ascending order, so it has n stored
-    ones however many judges there are.  transposed is N' built row by
-    row, judge j's posters in ascending order, so products with N' need
-    no conversion of N.  counts is the replication D and v0 each
-    poster's score sum; sizes and totals are each present judge's block
-    size and score total.
+    ones however many judges there are.  scaled is D^-1 N on the same
+    rows, and spread the dense F below.  N' is built row by row, judge j's posters in ascending order,
+    so products with N' need no conversion of N.  counts is the
+    replication D and v0 each poster's score sum; sizes and totals are
+    each present judge's block size and score total.
+
+    Every theta's solve comes from one eigendecomposition of the judge
+    matrix.  C(theta) = D - N S N' with S = diag(theta/(1 + theta k_j)),
+    D the replication, N the poster-by-judge incidence and k_j the judge
+    sizes.  One eigh of M = diag(k) - N' D^-1 N = V diag(mu) V' (mu >= 0)
+    gives, with g = theta/(1 + theta mu), m = D^-1 v the poster means and
+    delta = V'(T - N'm) the judge totals adjusted for them:
+
+        log det C = sum log D + sum log1p(theta mu) - sum log1p(theta k_j)
+        rss       = rss(0) - g'delta^2
+        C^-1      = D^-1 + F diag(g) F',  F = D^-1 N V   (Woodbury)
+        estimates = m - F (g delta)
+
+    The last sum of log det C is log det H, which the REML criterion
+    adds back, so profile() prices log det H + log det C without either.
+    A candidate theta costs O(b), and the winner's estimates and
+    diag(C^-1) need no factorization and no p-by-p inverse.  N is
+    sparse, with n stored ones, and every product taken of it is sparse:
+    N' D^-1 N costs O(sum of squared replications) before it fills the
+    dense b_r-by-b_r M, N'm costs O(n) and F = (D^-1 N) V costs O(n b_r),
+    where a dense N would cost O(p b_r^2) for each of M and F.  theta = inf
+    is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
+    them, which makes C^-1 a generalized inverse of the singular C(inf);
+    M has one null eigenvalue per connected set of judges, and gain()
+    raises DisconnectedDesign when there is more than one.
+    With B = D^-1/2 N S^1/2, D^-1/2 C D^-1/2 = I - BB' has no eigenvalue
+    above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
+    + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
+    diag(1/k) and it skips as many null eigenvalues as M has (Sylvester).
+    When every judge has the same size k, S^1/2 M S^1/2 is a multiple of
+    M, so no eigvalsh runs: at finite theta it is positive semidefinite
+    with a null vector and the least is 1/(1 + theta k) exactly, and at
+    theta = inf the system is M/k, whose least eigenvalue past the null
+    one is mu_min/k, the least canonical efficiency factor.  Only
+    unequal judge sizes take the second, b_r-by-b_r eigvalsh.
     """
 
-    reviewed: np.ndarray
-    counts: np.ndarray
-    v0: np.ndarray
-    q0: float
-    incidence: csr_array
-    transposed: csr_array
-    sizes: np.ndarray
-    totals: np.ndarray
-    n: int
-    p: int
-    center: float
+    def __init__(self, scores: ScoreTable) -> None:
+        # imported here: only the fits use scipy.sparse, and nbibd's design
+        # commands should not pay for loading it
+        from scipy.sparse import csr_array
 
+        posters, judges, y = scores.posters, scores.judges, scores.scores
+        self.reviewed, poster_col = np.unique(posters, return_inverse=True)
+        judges_present, judge_col = np.unique(judges, return_inverse=True)
+        p = self.p = int(self.reviewed.size)
+        b_r = judges_present.size
+        self.n = int(y.size)
+        self.center = float(y.mean())
+        centered = y - self.center
 
-def _block_terms(scores: ScoreTable) -> _BlockTerms:
-    # imported here: only the fits use scipy.sparse, and nbibd's design
-    # commands should not pay for loading it
-    from scipy.sparse import csr_array
+        replication = np.bincount(poster_col, minlength=p)
+        self.counts = replication.astype(np.float64)
+        self.v0 = np.bincount(poster_col, weights=centered, minlength=p)
+        self.q0 = float(centered @ centered)
+        self.sizes = np.bincount(judge_col, minlength=b_r)
+        self.totals = np.bincount(judge_col, weights=centered, minlength=b_r)
+        # rows from the replication, each row's judges in ascending order
+        judge_order = judge_col[np.argsort(poster_col * b_r + judge_col)]
+        indptr = np.concatenate(([0], np.cumsum(replication)))
+        self.incidence = csr_array((np.ones(judge_order.size), judge_order, indptr), shape=(p, b_r))
+        self.scaled = csr_array((np.repeat(1.0 / self.counts, replication), judge_order, indptr), shape=(p, b_r))
+        # N' likewise: rows from the judge sizes, each row's posters in ascending order
+        poster_order = poster_col[np.argsort(judge_col * p + poster_col)]
+        indptr = np.concatenate(([0], np.cumsum(self.sizes)))
+        transposed = csr_array((np.ones(poster_order.size), poster_order, indptr), shape=(b_r, p))
 
-    posters, judges, y = scores.posters, scores.judges, scores.scores
-    reviewed, poster_col = np.unique(posters, return_inverse=True)
-    judges_present, judge_col = np.unique(judges, return_inverse=True)
-    p = reviewed.size
-    b_r = judges_present.size
-    center = float(y.mean())
-    centered = y - center
+        self.judge_matrix = np.diag(self.sizes) - (transposed @ self.scaled).toarray()
+        self.mu, self.basis = np.linalg.eigh(self.judge_matrix)
+        self.means = self.v0 / self.counts
+        self.delta = self.basis.T @ (self.totals - transposed @ self.means)
+        self.spread = self.scaled @ self.basis
+        # the null vectors are the indicators of connected sets of judges, on
+        # which the adjusted totals sum to zero: pin both at exactly zero
+        # where eigh leaves rounding noise, which theta would scale up
+        self.null = self.mu <= self.mu.size * self.sizes.max() * np.finfo(float).eps
+        self.mu[self.null] = 0.0
+        self.delta[self.null] = 0.0
+        self.delta_sq = self.delta * self.delta
+        self.rss_zero = self.q0 - float(self.v0 @ self.means)
+        self.log_counts = float(np.log(self.counts).sum())
+        self.equal_sizes = self.sizes.min() == self.sizes.max()
 
-    replication = np.bincount(poster_col, minlength=p)
-    counts = replication.astype(np.float64)
-    v0 = np.bincount(poster_col, weights=centered, minlength=p)
-    q0 = float(centered @ centered)
-    sizes = np.bincount(judge_col, minlength=b_r)
-    judge_totals = np.bincount(judge_col, weights=centered, minlength=b_r)
-    # rows from the replication, each row's judges in ascending order
-    judge_order = judge_col[np.argsort(poster_col * b_r + judge_col)]
-    indptr = np.concatenate(([0], np.cumsum(replication)))
-    incidence = csr_array((np.ones(judge_order.size), judge_order, indptr), shape=(p, b_r))
-    # N' likewise: rows from the judge sizes, each row's posters in ascending order
-    poster_order = poster_col[np.argsort(judge_col * p + poster_col)]
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    transposed = csr_array((np.ones(poster_order.size), poster_order, indptr), shape=(b_r, p))
-    return _BlockTerms(
-        reviewed=reviewed,
-        counts=counts,
-        v0=v0,
-        q0=q0,
-        incidence=incidence,
-        transposed=transposed,
-        sizes=sizes,
-        totals=judge_totals,
-        n=int(y.size),
-        p=int(p),
-        center=center,
-    )
+    def gain(self, theta: float) -> np.ndarray:
+        """g at theta; at theta = inf, 1/mu off the null eigenvalues and 0 on them."""
+        if math.isinf(theta):
+            if self.null.sum() > 1:
+                raise DisconnectedDesign(
+                    "the observed co-review graph is not connected; poster contrasts are not estimable"
+                )
+            return np.divide(1.0, self.mu, out=np.zeros_like(self.mu), where=~self.null)
+        return theta / (1.0 + theta * self.mu)
+
+    def rss(self, theta: float) -> float:
+        """Residual sum of squares under H(theta)^-1 weighting."""
+        return self.rss_zero - float(self.gain(theta) @ self.delta_sq)
+
+    def profile(self, theta: float) -> tuple[float, float]:
+        """Restricted -2 log likelihood profiled over the error variance at a finite theta.
+
+        Returns (criterion, sigma2 at the REML divisor).
+        """
+        dof = self.n - self.p
+        rss = self.rss(theta)
+        if rss <= 0.0 or not np.isfinite(rss):
+            raise SingularFit("residual sum of squares vanished; error variance is not estimable")
+        sigma2 = rss / dof
+        logdet = self.log_counts + float(np.log1p(theta * self.mu).sum())
+        criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + logdet
+        return float(criterion), float(sigma2)
+
+    def solution(self, theta: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Centered estimates, diag(C^-1) and the least eigenvalue of D^-1/2 C D^-1/2.
+
+        The least is taken on the contrast space: at theta = inf it skips
+        the null eigenvalue.
+        """
+        gain = self.gain(theta)
+        skip = int(self.null.sum()) if math.isinf(theta) else 0
+        if self.equal_sizes and math.isinf(theta):
+            least = float(self.mu[skip]) / float(self.sizes[0])
+        elif self.equal_sizes:
+            least = 1.0 / (1.0 + theta * float(self.sizes[0]))
+        else:
+            root = np.sqrt(1.0 / self.sizes if math.isinf(theta) else theta / (1.0 + theta * self.sizes))
+            system = np.diag(1.0 / (1.0 + theta * self.sizes)) + root[:, None] * self.judge_matrix * root
+            least = float(np.linalg.eigvalsh(system)[skip])
+        estimates = self.means - self.spread @ (gain * self.delta)
+        return estimates, 1.0 / self.counts + (self.spread * self.spread) @ gain, least
+
+    def inverse(self, theta: float, vector: np.ndarray) -> np.ndarray:
+        """C(theta)^-1 @ vector, a generalized inverse at theta = inf."""
+        return vector / self.counts + self.spread @ (self.gain(theta) * (self.spread.T @ vector))
 
 
 def _checked_condition(smallest: float) -> float:
@@ -310,127 +390,13 @@ def _fit_result(
     )
 
 
-@dataclass(frozen=True)
-class _Solve:
-    """The GLS normal equations solved at one theta.
-
-    rss is the residual sum of squares under H(theta)^-1 weighting and
-    logdet the sum of log det H and log det C, C the poster information
-    matrix.  solution() returns the centered poster estimates, diag(C^-1),
-    C^-1 on vectors and the least eigenvalue of D^-1/2 C D^-1/2 on the
-    contrast space; only the winning theta of a search asks for them.
-    """
-
-    theta: float
-    rss: float
-    logdet: float
-    solution: Callable[[], tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]]
-
-
-def _spectral_solver(terms: _BlockTerms) -> Callable[[float], _Solve]:
-    """Every theta's solve from one eigendecomposition of the judge matrix.
-
-    C(theta) = D - N S N' with S = diag(theta/(1 + theta k_j)), D the
-    replication, N the poster-by-judge incidence and k_j the judge
-    sizes.  One eigh of M = diag(k) - N' D^-1 N = V diag(mu) V'
-    (mu >= 0) gives, with g = theta/(1 + theta mu), m = D^-1 v the
-    poster means and delta = V'(T - N'm) the judge totals adjusted for
-    them:
-
-        log det C = sum log D + sum log1p(theta mu) - sum log1p(theta k_j)
-        rss       = rss(0) - g'delta^2
-        C^-1      = D^-1 + F diag(g) F',  F = D^-1 N V   (Woodbury)
-        estimates = m - F (g delta)
-
-    The last sum of log det C is log det H, which the REML criterion
-    adds back, so a solve reports log det H + log det C without either.
-    A candidate theta costs O(b), and the winner's estimates and
-    diag(C^-1) need no factorization and no p-by-p inverse.  N is
-    sparse, with n stored ones, and every product taken of it is sparse:
-    N' D^-1 N costs O(sum of squared replications) before it fills the
-    dense b_r-by-b_r M, N'm costs O(n) and F = (D^-1 N) V costs O(n b_r),
-    where a dense N would cost O(p b_r^2) for each of M and F.  theta = inf
-    is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
-    them, which makes C^-1 a generalized inverse of the singular C(inf);
-    M has one null eigenvalue per connected set of judges, and the solve
-    raises DisconnectedDesign when there is more than one.
-    With B = D^-1/2 N S^1/2, D^-1/2 C D^-1/2 = I - BB' has no eigenvalue
-    above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
-    + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
-    diag(1/k) and it skips as many null eigenvalues as M has (Sylvester).
-    When every judge has the same size k, S^1/2 M S^1/2 is a multiple of
-    M, so no eigvalsh runs: at finite theta it is positive semidefinite
-    with a null vector and the least is 1/(1 + theta k) exactly, and at
-    theta = inf the system is M/k, whose least eigenvalue past the null
-    one is mu_min/k, the least canonical efficiency factor.  Only
-    unequal judge sizes take the second, b_r-by-b_r eigvalsh.
-    """
-    # imported here, like _block_terms's: only the fits use scipy.sparse
-    from scipy.sparse import csr_array
-
-    incidence = terms.incidence
-    scaled = csr_array(
-        (np.repeat(1.0 / terms.counts, np.diff(incidence.indptr)), incidence.indices, incidence.indptr),
-        shape=incidence.shape,
-    )
-    judge_matrix = np.diag(terms.sizes) - (terms.transposed @ scaled).toarray()
-    mu, basis = np.linalg.eigh(judge_matrix)
-    means = terms.v0 / terms.counts
-    delta = basis.T @ (terms.totals - terms.transposed @ means)
-    # the null vectors are the indicators of connected sets of judges, on
-    # which the adjusted totals sum to zero: pin both at exactly zero
-    # where eigh leaves rounding noise, which theta would scale up
-    null = mu <= mu.size * terms.sizes.max() * np.finfo(float).eps
-    mu[null] = 0.0
-    delta[null] = 0.0
-    delta_sq = delta * delta
-    rss_zero = terms.q0 - float(terms.v0 @ means)
-    log_counts = float(np.log(terms.counts).sum())
-    equal_sizes = terms.sizes.min() == terms.sizes.max()
-
-    def solve(theta: float) -> _Solve:
-        if math.isinf(theta):
-            skip = int(null.sum())
-            if skip > 1:
-                raise DisconnectedDesign(
-                    "the observed co-review graph is not connected; poster contrasts are not estimable"
-                )
-            gain = np.divide(1.0, mu, out=np.zeros_like(mu), where=~null)
-            logdet = math.inf
-            root = np.sqrt(1.0 / terms.sizes)
-        else:
-            gain = theta / (1.0 + theta * mu)
-            logdet = log_counts + float(np.log1p(theta * mu).sum())
-            root, skip = np.sqrt(theta / (1.0 + theta * terms.sizes)), 0
-
-        def solution() -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray], float]:
-            spread = scaled @ basis
-            if equal_sizes and math.isinf(theta):
-                least = float(mu[skip]) / float(terms.sizes[0])
-            elif equal_sizes:
-                least = 1.0 / (1.0 + theta * float(terms.sizes[0]))
-            else:
-                system = np.diag(1.0 / (1.0 + theta * terms.sizes)) + root[:, None] * judge_matrix * root
-                least = float(np.linalg.eigvalsh(system)[skip])
-            return (
-                means - spread @ (gain * delta),
-                1.0 / terms.counts + (spread * spread) @ gain,
-                lambda vector: vector / terms.counts + spread @ (gain * (spread.T @ vector)),
-                least,
-            )
-
-        return _Solve(theta, rss_zero - float(gain @ delta_sq), logdet, solution)
-
-    return solve
-
-
 def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     """Intra-block least squares with posters and judges as fixed factors.
 
     Yates's intra-block analysis: the poster system C = D - sum g g'/k
     with right-hand side Q = v - sum T g/k (g a judge's incidence
     column, T its score total), which is the random fit's system in the
-    limit theta -> infinity.  The judge spectrum solves it at that
+    limit theta -> infinity.  The fit's _JudgeSpectrum solves it at that
     limit; C has the null vector 1 on a connected design, and the
     spectral solution uses a generalized inverse G of C.  The weights w
     below are one sparse product with the incidence, and on equal judge
@@ -444,47 +410,34 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     receive NaN estimates and rank 0 rather than failing the whole fit.
     """
     _check_table(design, scores)
-    terms = _block_terms(scores)
-    solved = _spectral_solver(terms)(math.inf)
-    b_r = terms.sizes.size
-    dof = terms.n - terms.p - b_r + 1
+    spectrum = _JudgeSpectrum(scores)
+    rss = spectrum.rss(math.inf)
+    b_r = spectrum.sizes.size
+    dof = spectrum.n - spectrum.p - b_r + 1
     if dof < 1:
         raise SingularFit("no residual degrees of freedom for the error variance")
-    inv_sizes = 1.0 / terms.sizes
-    tau, diagonal, inverse, smallest = solved.solution()
-    sigma2 = max(solved.rss, 0.0) / dof
+    inv_sizes = 1.0 / spectrum.sizes
+    tau, diagonal, smallest = spectrum.solution(math.inf)
+    sigma2 = max(rss, 0.0) / dof
 
     # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
     # over poster i's judges; its variance is sigma2 times the diagonal of
     # (I - 1w'/b) G (I - w1'/b) + sum(1/k)/b^2
-    w = terms.incidence @ inv_sizes
-    shift = (float(inv_sizes @ terms.totals) - float(w @ tau)) / b_r
-    gw = inverse(w)
+    w = spectrum.incidence @ inv_sizes
+    shift = (float(inv_sizes @ spectrum.totals) - float(w @ tau)) / b_r
+    gw = spectrum.inverse(math.inf, w)
     variances = diagonal - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2
     return _fit_result(
         "fixed",
         design.t,
-        terms.reviewed,
-        tau + shift + terms.center,
+        spectrum.reviewed,
+        tau + shift + spectrum.center,
         sigma2 * variances,
         float("nan"),
         float(sigma2),
         True,
         _checked_condition(smallest),
     )
-
-
-def _profile(terms: _BlockTerms, solved: _Solve) -> tuple[float, float]:
-    """Restricted -2 log likelihood profiled over the error variance.
-
-    Takes one solve and returns (criterion, sigma2 at the REML divisor).
-    """
-    dof = terms.n - terms.p
-    if solved.rss <= 0.0 or not np.isfinite(solved.rss):
-        raise SingularFit("residual sum of squares vanished; error variance is not estimable")
-    sigma2 = solved.rss / dof
-    criterion = dof * (_LOG_2PI + 1.0) + dof * math.log(sigma2) + solved.logdet
-    return float(criterion), float(sigma2)
 
 
 def reml_criterion(scores: ScoreTable, theta: float) -> float:
@@ -494,55 +447,37 @@ def reml_criterion(scores: ScoreTable, theta: float) -> float:
     same judge spectrum.  Exposed so independent searches can compare
     candidate theta values.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    terms = _block_terms(scores)
-    if terms.n - terms.p < 1:
+    if not math.isfinite(theta) or theta < 0:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    spectrum = _JudgeSpectrum(scores)
+    if spectrum.n - spectrum.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    return -0.5 * _profile(terms, _spectral_solver(terms)(theta))[0]
+    return -0.5 * spectrum.profile(theta)[0]
 
 
-def _search_theta(
-    terms: _BlockTerms, solve: Callable[[float], _Solve], at_zero: _Solve
-) -> tuple[bool, float, _Solve]:
+def _search_theta(spectrum: _JudgeSpectrum) -> tuple[bool, float]:
     """Bounded minimization of the profiled criterion over theta >= 0.
 
     The search runs in u = log1p(theta) with an absolute tolerance of
     1e-12, far below the documented 1e-8 relative target on theta.  Each
-    candidate costs one O(b) solve from the judge spectrum.  at_zero is
-    the solve at the boundary theta = 0, which wins ties.  Returns
-    (converged, sigma2, winning solve); the winner is the solve the
-    search already made.
+    candidate costs one O(b) profile from the judge spectrum.  The point
+    bounded Brent reports, the latest evaluation that ties or beats every
+    earlier one, is then priced against the boundary theta = 0, which
+    wins ties.  Returns (converged, theta).
     """
     # imported here: only the random fit searches, and nbibd's design
     # commands should not pay for loading scipy.optimize
     from scipy.optimize import minimize_scalar
 
-    zero_criterion, zero_sigma2 = _profile(terms, at_zero)
-    best: tuple[float, float, _Solve] | None = None
-
-    def objective(u: float) -> float:
-        # keep the point bounded Brent reports: the latest evaluation
-        # that ties or beats every earlier one
-        nonlocal best
-        solved = solve(float(np.expm1(u)))
-        criterion, sigma2 = _profile(terms, solved)
-        if best is None or criterion <= best[0]:
-            best = (criterion, sigma2, solved)
-        return criterion
-
     result = minimize_scalar(
-        objective,
+        lambda u: spectrum.profile(float(np.expm1(u)))[0],
         bounds=(0.0, math.log1p(_THETA_MAX)),
         method="bounded",
         options={"xatol": 1e-12},
     )
     interior = float(np.expm1(result.x))
-    if best is None or best[2].theta != interior:
-        solved = solve(interior)
-        best = (*_profile(terms, solved), solved)
-    _, sigma2, solved = (zero_criterion, zero_sigma2, at_zero) if zero_criterion <= best[0] else best
-    return bool(result.success), sigma2, solved
+    theta = 0.0 if spectrum.profile(0.0)[0] <= spectrum.profile(interior)[0] else interior
+    return bool(result.success), theta
 
 
 def fit_random(design: Design, scores: ScoreTable) -> FitResult:
@@ -550,34 +485,33 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
 
     The restricted likelihood is profiled over theta = var_judge /
     var_error and maximized by a bounded one-dimensional search; theta =
-    0 is an admissible boundary estimate.  One eigendecomposition of the
-    judge matrix prices every candidate theta and yields the final
-    estimates, for any judge sizes, including score files with missing
-    cells.  Standard errors are plug-in GLS values at the estimated
-    theta.  Works on disconnected designs: the random judge effects tie
-    the components together.  Posters without observations receive NaN
-    estimates and rank 0.
+    0 is an admissible boundary estimate.  The fit's _JudgeSpectrum, one
+    eigendecomposition of the judge matrix, prices every candidate theta
+    and yields the final estimates, for any judge sizes, including score
+    files with missing cells.  Standard errors are plug-in GLS values at
+    the estimated theta.  Works on disconnected designs: the random judge
+    effects tie the components together.  Posters without observations
+    receive NaN estimates and rank 0.
     """
     _check_table(design, scores)
-    terms = _block_terms(scores)
-    if terms.n - terms.p < 1:
+    spectrum = _JudgeSpectrum(scores)
+    if spectrum.n - spectrum.p < 1:
         raise SingularFit("no residual degrees of freedom")
-    solve = _spectral_solver(terms)
-    solved = solve(0.0)
-    if solved.rss <= 1e-12 * terms.q0:
+    if spectrum.rss(0.0) <= 1e-12 * spectrum.q0:
         # interpolating data (e.g. constant scores): both variance
         # components vanish and the ratio is fixed at the boundary
-        converged, sigma2 = True, 0.0
+        converged, theta, sigma2 = True, 0.0, 0.0
     else:
-        converged, sigma2, solved = _search_theta(terms, solve, solved)
-    beta, inverse_diagonal, _, smallest = solved.solution()
+        converged, theta = _search_theta(spectrum)
+        sigma2 = spectrum.profile(theta)[1]
+    beta, inverse_diagonal, smallest = spectrum.solution(theta)
     return _fit_result(
         "random",
         design.t,
-        terms.reviewed,
-        beta + terms.center,
+        spectrum.reviewed,
+        beta + spectrum.center,
         sigma2 * inverse_diagonal,
-        float(solved.theta * sigma2),
+        float(theta * sigma2),
         float(sigma2),
         converged,
         _checked_condition(smallest),

@@ -30,7 +30,7 @@ from nbibd import (
     write_scores,
 )
 from nbibd.design import Block, Design
-from nbibd.model import _block_terms, _profile, _spectral_solver
+from nbibd.model import _JudgeSpectrum
 
 
 def sample_table(seed, t=18, k=4, b=12, kind="nb1", sd_judge=6.0):
@@ -223,8 +223,11 @@ def test_profiled_criterion_matches_dense_matrix_evaluation():
     for theta in (0.0, 0.1, 0.7, 3.0, 20.0):
         dense = -0.5 * dense_reml_neg2(table, theta)
         assert reml_criterion(table, theta) == pytest.approx(dense, abs=1e-9)
-    with pytest.raises(ValueError):
-        reml_criterion(table, -0.5)
+    # theta = inf is the fixed fit's limit, not a variance ratio, and NaN
+    # is no ratio at all: both are refused like a negative one
+    for theta in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must be finite and >= 0"):
+            reml_criterion(table, theta)
 
 
 def test_estimated_ratio_beats_a_fine_grid():
@@ -245,16 +248,49 @@ def test_random_estimates_match_dense_gls_at_the_estimated_ratio():
     assert fit.grand_mean == pytest.approx(float(beta.mean()), abs=1e-8)
 
 
-def test_ratio_estimate_can_sit_on_the_zero_boundary():
-    # judge effects absent from the truth: REML pins the ratio at zero
+def zero_boundary_case():
+    """Judge effects absent from the truth: REML pins the ratio at zero."""
     rng = np.random.default_rng(1)
     design, _ = generate(DesignConfig(t=15, k=3, b=12, seed=1), "nb2")
     matrix = 60.0 + rng.normal(0.0, 6.0, (15, 1)) + rng.normal(0.0, 4.0, (15, 12))
-    table = ScoreTable.from_design_matrix(design, matrix)
+    return design, ScoreTable.from_design_matrix(design, matrix)
+
+
+def test_ratio_estimate_can_sit_on_the_zero_boundary():
+    design, table = zero_boundary_case()
     fit = fit_random(design, table)
     assert fit.var_judge == 0.0
     assert fit.var_error > 0.0
     assert fit.converged
+
+
+@pytest.mark.parametrize("case", ["nb1", "nb2", "random", "dropped cells", "zero boundary"])
+def test_estimated_ratio_is_the_bounded_search_point_or_zero(case):
+    # the search contract apart from the digests: bounded Brent on the
+    # public criterion in u = log1p(theta) over [0, log1p(1e6)], and the
+    # boundary theta = 0 wherever it ties or beats the point Brent reports
+    from scipy.optimize import minimize_scalar
+
+    if case == "dropped cells":
+        design, table = dropped_cells_table(8)
+    elif case == "zero boundary":
+        design, table = zero_boundary_case()
+    else:
+        design, table = sample_table(8, t=200, k=5, b=100, kind=case, sd_judge=3.0)
+    result = minimize_scalar(
+        lambda u: -2.0 * reml_criterion(table, float(np.expm1(u))),
+        bounds=(0.0, math.log1p(1e6)),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    interior = float(np.expm1(result.x))
+    fit = fit_random(design, table)
+    ratio = fit.var_judge / fit.var_error
+    if reml_criterion(table, 0.0) >= reml_criterion(table, interior):
+        assert ratio == 0.0
+    else:
+        assert ratio == pytest.approx(interior, rel=1e-9)
+    assert (ratio == 0.0) == (case == "zero boundary")
 
 
 def test_interpolating_scores_zero_both_variance_components():
@@ -321,15 +357,14 @@ def spectral_vs_cholesky(table, theta):
     dof * log(rss) also loses up to dof * n * eps * y'y / rss, which is
     large only when the scores nearly interpolate.
     """
-    terms = _block_terms(table)
-    spectral = _spectral_solver(terms)(theta)
+    spectrum = _JudgeSpectrum(table)
     criterion, beta, inverse_diagonal, rss, yy, condition = cholesky_oracle(table, theta)
-    pairs = [(_profile(terms, spectral)[0], criterion)]
-    pairs += list(zip(spectral.solution()[:2], (beta, inverse_diagonal)))
+    pairs = [(spectrum.profile(theta)[0], criterion)]
+    pairs += list(zip(spectrum.solution(theta)[:2], (beta, inverse_diagonal)))
     gaps = [float(np.max(np.abs(ours - theirs)) / max(1.0, np.max(np.abs(theirs)))) for ours, theirs in pairs]
     eps = np.finfo(float).eps
-    solve = max(1e-10, terms.p * eps * condition)
-    rss_rounding = (terms.n - terms.p) * terms.n * eps * yy / rss / max(1.0, abs(criterion))
+    solve = max(1e-10, spectrum.p * eps * condition)
+    rss_rounding = (spectrum.n - spectrum.p) * spectrum.n * eps * yy / rss / max(1.0, abs(criterion))
     return gaps, [max(solve, rss_rounding), solve, solve]
 
 
@@ -434,45 +469,49 @@ def test_spectral_solve_is_exact_at_the_upper_ratio_bound(case):
     # at theta = 1e6, C is within 1/(1 + k theta) of singular, which costs
     # a Cholesky solve about six digits; the spectral solve keeps them
     table = sample_table(4)[1] if case == "equal sizes" else dropped_cells_table(4)[1]
-    terms = _block_terms(table)
-    assert (np.unique(terms.sizes).size > 1) == (case == "dropped cells")
+    spectrum = _JudgeSpectrum(table)
+    assert (np.unique(spectrum.sizes).size > 1) == (case == "dropped cells")
     theta = 10**6
-    shrink = [Fraction(theta, 1 + int(size) * theta) for size in terms.sizes]
+    shrink = [Fraction(theta, 1 + int(size) * theta) for size in spectrum.sizes]
     present = np.unique(table.judges)
-    judges_of = [np.sort(np.searchsorted(present, table.judges[table.posters == poster])) for poster in terms.reviewed]
+    judges_of = [
+        np.sort(np.searchsorted(present, table.judges[table.posters == poster])) for poster in spectrum.reviewed
+    ]
     # the sparse incidence lists the same judges, row by row in ascending order
-    rows = np.split(terms.incidence.indices, terms.incidence.indptr[1:-1])
+    rows = np.split(spectrum.incidence.indices, spectrum.incidence.indptr[1:-1])
     assert len(rows) == len(judges_of) and all(np.array_equal(*pair) for pair in zip(rows, judges_of))
     matrix = [
         [
-            int(i == j) * Fraction(terms.counts[i]) - sum(shrink[g] for g in np.intersect1d(judges_of[i], judges_of[j]))
-            for j in range(terms.p)
+            int(i == j) * Fraction(spectrum.counts[i])
+            - sum(shrink[g] for g in np.intersect1d(judges_of[i], judges_of[j]))
+            for j in range(spectrum.p)
         ]
-        for i in range(terms.p)
+        for i in range(spectrum.p)
     ]
     columns = [
-        [Fraction(terms.v0[i]) - sum(shrink[g] * Fraction(terms.totals[g]) for g in judges_of[i])]
-        + [Fraction(int(i == j)) for j in range(terms.p)]
-        for i in range(terms.p)
+        [Fraction(spectrum.v0[i]) - sum(shrink[g] * Fraction(spectrum.totals[g]) for g in judges_of[i])]
+        + [Fraction(int(i == j)) for j in range(spectrum.p)]
+        for i in range(spectrum.p)
     ]
     solved = exact_solve(matrix, columns)
     beta = np.array([float(row[0]) for row in solved])
-    diagonal = np.array([float(solved[i][1 + i]) for i in range(terms.p)])
-    estimates, inverse_diagonal = _spectral_solver(terms)(float(theta)).solution()[:2]
+    diagonal = np.array([float(solved[i][1 + i]) for i in range(spectrum.p)])
+    estimates, inverse_diagonal = spectrum.solution(float(theta))[:2]
     assert np.max(np.abs(estimates - beta)) <= 1e-10 * np.max(np.abs(beta))
     assert np.max(np.abs(inverse_diagonal - diagonal)) <= 1e-10 * np.max(diagonal)
 
 
 def test_every_table_and_both_fits_share_one_judge_spectrum(monkeypatch):
     # equal and unequal judge sizes, both models and the public criterion
-    # all build the solver once per call; there is no second path
+    # all build the spectrum once per call; there is no second path
     calls = []
 
-    def counted(terms):
-        calls.append(terms)
-        return _spectral_solver(terms)
+    class Counted(_JudgeSpectrum):
+        def __init__(self, scores):
+            super().__init__(scores)
+            calls.append(self)
 
-    monkeypatch.setattr("nbibd.model._spectral_solver", counted)
+    monkeypatch.setattr("nbibd.model._JudgeSpectrum", Counted)
     for design, table in (sample_table(6), dropped_cells_table(6)):
         for fitter in (fit_fixed, fit_random):
             assert np.isfinite(fitter(design, table).pmm[np.unique(table.posters)]).all()
@@ -683,6 +722,15 @@ def test_score_table_validation():
     check_rejects({**good, "posters": np.array([0, 1, 2])}, "poster id outside")
     check_rejects({**good, "scores": np.array([1.0, np.nan, 3.0])}, "finite")
     check_rejects({**good, "judges": np.array([0, 0, 0])}, "duplicate")
+    # ids are never truncated: a non-integral or NaN id is refused, an
+    # integer-valued float is the id it names
+    truncated = dict(judges=[0.7, 1.2], posters=[0, 1.9], scores=[1.0, 2.0], t=3, b=2)
+    check_rejects(truncated, "judge indices must be integers")
+    check_rejects({**truncated, "judges": [0.0, 1.0]}, "poster ids must be integers")
+    check_rejects({**good, "posters": np.array([0.0, np.nan, 1.0])}, "poster ids must be integers")
+    table = ScoreTable(**{**good, "judges": np.array([0.0, 0.0, 1.0]), "posters": [0.0, 1.0, 1.0]})
+    assert table.judges.dtype == table.posters.dtype == np.int64
+    assert table.judges.tolist() == [0, 0, 1] and table.posters.tolist() == [0, 1, 1]
 
 
 def test_from_observations_checks_design_incidence():
