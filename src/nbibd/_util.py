@@ -11,7 +11,6 @@ parse_columns turns a table's data rows into one array per column by the same ru
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
 from typing import Iterable, Iterator, Sequence
@@ -90,10 +89,7 @@ def read_csv(
 
 def format_float(value: float) -> str:
     """Shortest decimal string that round-trips the exact double."""
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
+    return repr(float(value))
 
 
 def parse_float(text: str, path: str, row: int, column: str) -> float:
@@ -127,21 +123,27 @@ def parse_bool(text: str, path: str, row: int, column: str) -> bool:
         raise FileFormatError(path, row, f"column {column!r} is not a boolean: {text!r}") from None
 
 
+def _parse_text(text: str, path: str, row: int, column: str) -> str:
+    return text
+
+
 # per column type: the conversion of one cell, the column's dtype, and the parser naming a faulty cell
 _COLUMN_TYPES = {
     int: (int, np.int64, parse_int),
     float: (float, np.float64, parse_float),
     bool: (_to_bool, np.bool_, parse_bool),
+    # any text is a valid cell, kept as the str it was read as
+    str: (str, object, _parse_text),
 }
 
 
 def parse_columns(
     path: str, header: Sequence[str], rows: Iterator[tuple[int, list[str]]], types: Sequence[type]
 ) -> list[np.ndarray]:
-    """read_csv's data rows as one array per column, column i of type types[i]: int, float or bool.
+    """read_csv's data rows as one array per column, column i of type types[i]: int, float, bool or str.
 
     Each column is converted in one pass, its cells mapped through int,
-    float or the parse_bool rule and then one np.array, whose
+    float, the parse_bool rule or str and then one np.array, whose
     OverflowError is the int64 bound of parse_int.  So a table is
     accepted, with the same values, exactly when every parse_* call on
     its cells would be.  When a cell or a row's width is at fault, the

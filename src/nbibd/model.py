@@ -73,27 +73,29 @@ class ScoreTable:
     b: int
 
     def __post_init__(self) -> None:
-        for ids, name in ((self.judges, "judge indices"), (self.posters, "poster ids")):
-            ids = np.asarray(ids)
-            # an integer-valued float is an id; any other would truncate silently
-            if ids.dtype.kind == "f" and not (np.isfinite(ids) & (ids == np.trunc(ids))).all():
+        judges, posters = np.asarray(self.judges), np.asarray(self.posters)
+        for ids, name in ((judges, "judge indices"), (posters, "poster ids")):
+            # an id is an integer or an integer-valued float: any other float would
+            # truncate silently, and text would be parsed
+            integral = ids.dtype.kind == "f" and (np.isfinite(ids) & (ids == np.trunc(ids))).all()
+            if ids.dtype.kind not in "biuO" and not integral:
                 raise ValueError(f"{name} must be integers")
-        judges = np.asarray(self.judges, dtype=np.int64)
-        posters = np.asarray(self.posters, dtype=np.int64)
         scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "judges", judges)
-        object.__setattr__(self, "posters", posters)
-        object.__setattr__(self, "scores", scores)
         if judges.ndim != 1 or judges.shape != posters.shape or judges.shape != scores.shape:
             raise ValueError("judges, posters, and scores must be equal-length 1-D arrays")
         if judges.size == 0:
             raise ValueError("need at least one observation")
         if self.t < 1 or self.b < 1:
             raise ValueError("dimensions t and b must be positive")
+        # the ids are range-checked as given: one past int64 would overflow the cast
         if judges.min() < 0 or judges.max() >= self.b:
             raise ValueError(f"judge index outside [0, {self.b})")
         if posters.min() < 0 or posters.max() >= self.t:
             raise ValueError(f"poster id outside [0, {self.t})")
+        judges, posters = judges.astype(np.int64, copy=False), posters.astype(np.int64, copy=False)
+        object.__setattr__(self, "judges", judges)
+        object.__setattr__(self, "posters", posters)
+        object.__setattr__(self, "scores", scores)
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
         pairs = judges * self.t + posters

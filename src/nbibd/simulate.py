@@ -19,11 +19,12 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import FileFormatError, format_float, parse_bool, parse_float, parse_int, read_csv, write_csv
+from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
 from .design import DesignConfig, is_connected
 from .generate import GeneratorKind, NB1InfeasibleBudget, _nb1_counting_fault, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
@@ -52,8 +53,8 @@ __all__ = [
 
 METRICS = ("win_prop", "median_rank_dev", "mean_score_dev", "mean_se")
 
-_KIND_ORDER = (GeneratorKind.NB1, GeneratorKind.NB2, GeneratorKind.RANDOM)
-_KIND_CODE = {kind: code for code, kind in enumerate(_KIND_ORDER)}
+# report order; a kind's position is its design-seed code, so a new kind goes last
+_KIND_ORDER = tuple(GeneratorKind)
 _SCORE_ROLE = 0
 _DESIGN_ROLE = 1
 
@@ -163,20 +164,9 @@ class MetricSummary:
 
 
 @dataclass(frozen=True)
-class DifferenceSummary:
-    """Paired within-iteration differences, sign convention first minus second."""
+class DifferenceSummary(MetricSummary):
+    """Paired within-iteration differences, first minus second, with a 95% interval on their mean."""
 
-    first: GeneratorKind
-    second: GeneratorKind
-    metric: str
-    n: int
-    mean: float
-    sd: float
-    minimum: float
-    maximum: float
-    q025: float
-    q500: float
-    q975: float
     ci_low: float
     ci_high: float
 
@@ -212,7 +202,7 @@ def synthesize_scores(params: SimParams, iteration_seed: int) -> tuple[np.ndarra
 
 
 def _design_seed(params: SimParams, iteration_seed: int, kind: GeneratorKind) -> int:
-    sequence = np.random.SeedSequence([params.seed, iteration_seed, _DESIGN_ROLE, _KIND_CODE[kind]])
+    sequence = np.random.SeedSequence([params.seed, iteration_seed, _DESIGN_ROLE, _KIND_ORDER.index(kind)])
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
@@ -259,10 +249,6 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
     return IterationResult(iteration=iteration_seed, metrics=metrics, failures=tuple(failures))
 
 
-def _iteration_task(task: tuple[SimParams, int]) -> IterationResult:
-    return run_iteration(task[0], task[1])
-
-
 def _worker_count(params: SimParams, workers: int | None) -> int:
     source = "worker count"
     if workers is None:
@@ -292,14 +278,13 @@ def run_iterations(params: SimParams, workers: int | None = None) -> list[Iterat
     # imported here: only a pooled run needs multiprocessing
     from multiprocessing import get_context
 
-    tasks = [(params, index) for index in range(params.iterations)]
     try:
         context = get_context("fork")
     except ValueError:
         context = get_context()
     chunk = max(1, params.iterations // (count * 8))
     with context.Pool(count) as pool:
-        return list(pool.imap(_iteration_task, tasks, chunksize=chunk))
+        return list(pool.imap(partial(run_iteration, params), range(params.iterations), chunksize=chunk))
 
 
 def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:
@@ -331,9 +316,7 @@ def _metric_summary(values: Sequence[float]) -> MetricSummary:
     )
 
 
-def _difference_summary(
-    first: GeneratorKind, second: GeneratorKind, metric: str, diffs: np.ndarray
-) -> DifferenceSummary:
+def _difference_summary(diffs: np.ndarray) -> DifferenceSummary:
     """The metric summary of paired differences plus a paired-t 95% interval on their mean."""
     # imported here: scipy.stats costs a third of a second to load, and
     # only simulate and report read this quantile
@@ -344,9 +327,6 @@ def _difference_summary(
     if summary.n > 1:
         half = float(student_t.ppf(0.975, summary.n - 1)) * summary.sd / math.sqrt(summary.n)
     return DifferenceSummary(
-        first,
-        second,
-        metric,
         **dataclasses.asdict(summary),
         ci_low=summary.mean - half,
         ci_high=summary.mean + half,
@@ -405,7 +385,7 @@ def aggregate_results(results: Sequence[IterationResult], designs: Sequence[Gene
         if len(kinds) == 1:
             design_summary[(kinds[0], metric)] = _metric_summary(values)
         else:
-            difference_summary[(*kinds, metric)] = _difference_summary(*kinds, metric, values)
+            difference_summary[(*kinds, metric)] = _difference_summary(values)
     kinds = _canonical(designs)
     return {
         "design_summary": design_summary,
@@ -432,18 +412,10 @@ def summarize_differences(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     diffs = _paired_diffs(report.results, first, second, metric)
-    return _difference_summary(first, second, metric, diffs)
+    return _difference_summary(diffs)
 
 
-_METRICS_HEADER = [
-    "iteration",
-    "design",
-    "win_prop",
-    "median_rank_dev",
-    "mean_score_dev",
-    "mean_se",
-    "disconnected",
-]
+_METRICS_HEADER = ["iteration", "design", *METRICS, "disconnected"]
 
 
 def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
@@ -458,10 +430,7 @@ def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
                 yield [
                     result.iteration,
                     kind.value,
-                    format_float(entry.win_prop),
-                    format_float(entry.median_rank_dev),
-                    format_float(entry.mean_score_dev),
-                    format_float(entry.mean_se),
+                    *[format_float(getattr(entry, metric)) for metric in METRICS],
                     "true" if entry.disconnected else "false",
                 ]
 
@@ -471,32 +440,29 @@ def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
 def read_metrics(path: str) -> list[IterationResult]:
     """Rebuild per-iteration results from a metrics CSV.
 
-    Failure lists cannot be recovered from the file; kinds simply appear
-    with no row, which aggregate_results counts as failures.
+    Every cell is parsed first, as read_design parses; the rows are then
+    checked in order for a negative iteration, an unknown design kind and
+    a repeated (iteration, design).  Failure lists cannot be recovered
+    from the file; kinds simply appear with no row, which
+    aggregate_results counts as failures.
     """
-    _, rows = read_csv(path, _METRICS_HEADER)
+    header, rows = read_csv(path, _METRICS_HEADER)
+    columns = parse_columns(path, header, rows, [int, str, *[float] * len(METRICS), bool])
+    if not columns[0].size:
+        raise FileFormatError(path, None, "no metric rows")
     collected: dict[int, dict[GeneratorKind, DesignMetrics]] = {}
-    for number, row in rows:
-        iteration = parse_int(row[0], path, number, "iteration")
+    cells = zip(*(column.tolist() for column in columns))
+    for number, (iteration, design, *metrics, disconnected) in enumerate(cells, start=2):
         if iteration < 0:
             raise FileFormatError(path, number, f"iteration must be >= 0, got {iteration}")
         try:
-            kind = GeneratorKind(row[1])
+            kind = GeneratorKind(design)
         except ValueError:
-            raise FileFormatError(path, number, f"unknown design kind {row[1]!r}") from None
-        entry = DesignMetrics(
-            win_prop=parse_float(row[2], path, number, "win_prop"),
-            median_rank_dev=parse_float(row[3], path, number, "median_rank_dev"),
-            mean_score_dev=parse_float(row[4], path, number, "mean_score_dev"),
-            mean_se=parse_float(row[5], path, number, "mean_se"),
-            disconnected=parse_bool(row[6], path, number, "disconnected"),
-        )
+            raise FileFormatError(path, number, f"unknown design kind {design!r}") from None
         per_iteration = collected.setdefault(iteration, {})
         if kind in per_iteration:
             raise FileFormatError(path, number, f"duplicate row for iteration {iteration}, design {kind.value}")
-        per_iteration[kind] = entry
-    if not collected:
-        raise FileFormatError(path, None, "no metric rows")
+        per_iteration[kind] = DesignMetrics(**dict(zip(METRICS, metrics)), disconnected=disconnected)
     return [
         IterationResult(iteration=iteration, metrics=collected[iteration])
         for iteration in sorted(collected)

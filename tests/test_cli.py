@@ -181,6 +181,33 @@ def test_validate_flags_disconnection(tmp_path, capsys):
     assert "connected=false" in captured.out
 
 
+# t=4 posters, k=2 reviews per judge, so b_min = ceil(t/(k-1)) = 4 faculty blocks;
+# each design breaks one rule that `validate --kind` enforces and keeps the others
+VALIDATE_FAILURES = {
+    # poster 2 is never reviewed, and random promises only coverage
+    "unreviewed": ("random", [(0, 1), (1, 3)], "not every poster is reviewed"),
+    # posters 0 and 3 are reviewed 4 and 2 times
+    "spread": ("nb2", [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1), (0, 2)], "replication spread 2 exceeds 1"),
+    # block 1 shares no poster with block 0; block 2 joins them
+    "prefix": ("nb2", [(0, 1), (2, 3), (1, 2), (3, 0)], "a block prefix is not connected"),
+    # poster 3 is first reviewed in block 4, after the faculty blocks
+    "faculty": (
+        "nb2",
+        [(0, 1), (1, 2), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)],
+        "a poster is missing from the faculty blocks",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,blocks,message", VALIDATE_FAILURES.values(), ids=VALIDATE_FAILURES)
+def test_validate_reports_each_broken_rule(tmp_path, capsys, kind, blocks, message):
+    path = tmp_path / "design.csv"
+    rows = [f"{j},{'true' if j < 4 else 'false'},{first},{second}" for j, (first, second) in enumerate(blocks)]
+    path.write_text("\n".join(["judge_index,faculty,poster_1,poster_2", *rows, ""]))
+    captured = run(capsys, ["validate", str(path), "--kind", kind], expect=1)
+    assert captured.err == f"error: {message}\n"
+
+
 def test_validate_missing_file_exits_two(tmp_path, capsys):
     captured = run(capsys, ["validate", str(tmp_path / "absent.csv")], expect=2)
     assert "error:" in captured.err

@@ -731,6 +731,12 @@ def test_score_table_validation():
     table = ScoreTable(**{**good, "judges": np.array([0.0, 0.0, 1.0]), "posters": [0.0, 1.0, 1.0]})
     assert table.judges.dtype == table.posters.dtype == np.int64
     assert table.judges.tolist() == [0, 0, 1] and table.posters.tolist() == [0, 1, 1]
+    # ids are range-checked as given, so one past int64 is out of range,
+    # not an overflow or a warning from the int64 cast
+    for huge in ([1e30, 0.0], [2**70, 0], np.array([1e30, 0.0])):
+        check_rejects(dict(judges=huge, posters=[0, 1], scores=[1.0, 2.0], t=3, b=2), "judge index outside [0, 2)")
+        check_rejects(dict(judges=[0, 1], posters=huge, scores=[1.0, 2.0], t=3, b=2), "poster id outside [0, 3)")
+    check_rejects({**good, "judges": ["0", "0", "1"]}, "judge indices must be integers")
 
 
 def test_from_observations_checks_design_incidence():

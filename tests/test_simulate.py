@@ -283,6 +283,8 @@ HEADER = "iteration,design,win_prop,median_rank_dev,mean_score_dev,mean_se,disco
         (HEADER + "\n0,nb1,high,1,2,3,false\n", "win_prop", 2),
         (HEADER + "\n0,nb1,0.5,1,2,3,maybe\n", "disconnected", 2),
         (HEADER + "\n0,nb1,0.5,1,2,3,false\n0,nb1,0.6,1,2,3,false\n", "duplicate row", 3),
+        # every cell is parsed before any row is checked, as in a design file
+        (HEADER + "\n-1,nb1,0.5,1,2,3,false\n0,nb1,high,1,2,3,false\n", "column 'win_prop' is not a number", 3),
     ],
 )
 def test_malformed_metrics_csv(tmp_path, content, fragment, row):

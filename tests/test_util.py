@@ -1,5 +1,6 @@
-"""The shared CSV codec: file modes of what it writes."""
+"""The shared CSV codec: file modes of what it writes, float cells and failed writes."""
 
+import math
 import os
 import stat
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from nbibd import DesignConfig, ScoreTable, generate, write_design, write_metrics, write_scores
+from nbibd._util import format_float, write_csv
 from nbibd.simulate import DesignMetrics, IterationResult
 
 
@@ -25,3 +27,30 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
         os.umask(previous)
     for name in ("design.csv", "scores.csv", "metrics.csv"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("value", [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300])
+def test_format_float_is_the_shortest_round_trip_repr(value):
+    text = format_float(value)
+    assert text == repr(float(value))
+    again = float(text)
+    if math.isnan(value):
+        assert math.isnan(again)
+    else:
+        # the same double, so -0.0 keeps its sign
+        assert again == value and math.copysign(1.0, again) == math.copysign(1.0, value)
+
+
+def test_a_failing_write_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(str(path), ["a", "b"], [[1, 2], [3, 4]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [5, 6]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(path), ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == ["table.csv"]
