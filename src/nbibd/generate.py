@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -150,14 +151,14 @@ def _draw_block(
     return _fill_least_reviewed(strata, members, k, rng)
 
 
-def _met_pair(concurrence: np.ndarray, members: list[int]) -> tuple[int, int] | None:
-    """The first pair of members that has already met, in ascending id order, or None."""
-    ordered = sorted(members)
-    for position, a in enumerate(ordered):
-        row = concurrence[a]
-        for b in ordered[position + 1 :]:
-            if row[b]:
-                return a, b
+def _met_pair(met: set[int], t: int, members: list[int]) -> tuple[int, int] | None:
+    """The first pair of members that has already met, in ascending id order, or None.
+
+    met holds each pair a < b that has met as the code a*t + b.
+    """
+    for a, b in combinations(sorted(members), 2):
+        if a * t + b in met:
+            return a, b
     return None
 
 
@@ -191,17 +192,19 @@ def _append_blocks(
     rng: np.random.Generator,
     stop_at_dead_end: bool = False,
 ) -> int:
-    """Draw rows start.. of ids in place, updating the tallies; returns the rejected count.
+    """Draw rows start.. of ids in place, updating replication; returns the rejected count.
 
-    concurrence is the running pair tally, which only nb1's pair check
-    reads; the other kinds pass None.  Every block of every kind is one
-    _draw_block over strata built once, before its first draw, since the
-    tallies only change when a block is accepted: the random baseline
-    reads its tally clipped at 1, so its strata are the unreviewed and
-    the reviewed posters, and a block in (0, b_min) of nb1 and nb2 also
-    draws a faculty anchor.  nb1 discards any candidate that would let a
-    pair of posters meet twice and raises _RestartSignal once a single
-    block has collected config.max_attempts consecutive discards.  A
+    concurrence is the pair tally of rows ..start, or None for no pair
+    met yet.  Only nb1's pair check reads it, once, into a set of met
+    pairs that each accepted block then extends.  Every block of every
+    kind is one _draw_block over strata built once, before its first
+    draw, since the tallies only change when a block is accepted: the
+    random baseline reads its tally clipped at 1, so its strata are the
+    unreviewed and the reviewed posters, and a block in (0, b_min) of
+    nb1 and nb2 also draws a faculty anchor.  nb1 discards any candidate
+    that would let a pair of posters meet twice and raises
+    _RestartSignal once a single block has collected config.max_attempts
+    consecutive discards.  A
     discard past the faculty phase is forced when its posters are
     exactly the k reviewed at most as often as the most-reviewed of
     them: every stratum it touched was taken whole, so every later
@@ -214,8 +217,14 @@ def _append_blocks(
     forced discard.
     """
     rejected = 0
-    b_min = config.b_min
+    b_min, t = config.b_min, config.t
     near_balanced = kind is not GeneratorKind.RANDOM
+    nb1 = kind is GeneratorKind.NB1
+    met: set[int] = set()
+    if nb1 and concurrence is not None:
+        # the pairs a < b that met in rows before start, as codes a*t + b
+        first, second = np.nonzero(np.triu(concurrence, 1))
+        met.update((first * t + second).tolist())
     covered = False
     for index in range(start, ids.shape[0]):
         if near_balanced:
@@ -229,7 +238,7 @@ def _append_blocks(
         discards = 0
         while True:
             members = _draw_block(strata, anchors, config.k, rng)
-            pair = _met_pair(concurrence, members) if kind is GeneratorKind.NB1 else None
+            pair = _met_pair(met, t, members) if nb1 else None
             if pair is None:
                 break
             rejected += 1
@@ -253,12 +262,9 @@ def _append_blocks(
                     )
                 raise _RestartSignal(rejected)
         ids[index] = members
-        for position, a in enumerate(members):
-            replication[a] += 1
-            if concurrence is not None:
-                for b in members[position + 1 :]:
-                    concurrence[a, b] += 1
-                    concurrence[b, a] += 1
+        replication[members] += 1
+        if nb1:
+            met.update(a * t + b for a, b in combinations(sorted(members), 2))
     return rejected
 
 
@@ -311,10 +317,9 @@ def generate(
     rejected_total = 0
     while True:
         replication = np.zeros(config.t, dtype=np.int64)
-        concurrence = np.zeros((config.t, config.t), dtype=np.int64) if kind is GeneratorKind.NB1 else None
         ids = np.empty((config.b, config.k), dtype=np.int64)
         try:
-            rejected_total += _append_blocks(config, kind, ids, 0, replication, concurrence, rng)
+            rejected_total += _append_blocks(config, kind, ids, 0, replication, None, rng)
         except _RestartSignal as signal:
             rejected_total += signal.rejected
             restarts += 1
@@ -340,9 +345,9 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     rejected draw already when the draw was forced (past the faculty
     phase, every least-reviewed stratum it touched taken whole), since
     every later attempt would draw the same posters.  Only nb1 forms the
-    pair tally, as a working copy for its pair check; nb2 and random
-    never read it.  The result's id array is new, its first rows a copy
-    of design.ids; appended block j is faculty when j < faculty_blocks.
+    pair tally, which its pair check reads; nb2 and random never do.
+    The result's id array is new, its first rows a copy of design.ids;
+    appended block j is faculty when j < faculty_blocks.
     """
     kind = GeneratorKind(kind)
     if additional_blocks < 0:
@@ -356,6 +361,6 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     ids = np.empty((config.b, config.k), dtype=np.int64)
     ids[:start] = design.ids
     replication = design.replication.copy()
-    concurrence = design.concurrence.copy() if kind is GeneratorKind.NB1 else None
+    concurrence = design.concurrence if kind is GeneratorKind.NB1 else None
     _append_blocks(config, kind, ids, start, replication, concurrence, rng, stop_at_dead_end=True)
     return Design(config, ids)

@@ -12,6 +12,8 @@ connected co-review graph.  fit_random treats judges as draws from
 N(0, var_judge); the variance components come from restricted maximum
 likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
+The search is Brent's bounded method, ported step for step from scipy
+(_bounded_brent), so a fit loads no scipy package but scipy.sparse.
 
 Neither the n-by-n judge covariance nor any poster-by-poster matrix is
 ever formed, and the poster-by-judge incidence is held sparse.  Each
@@ -457,29 +459,105 @@ def reml_criterion(scores: ScoreTable, theta: float) -> float:
     return -0.5 * spectrum.profile(theta)[0]
 
 
+def _bounded_brent(func, upper: float, xatol: float, maxiter: int = 500) -> tuple[float, bool]:
+    """Minimize func over [0, upper] by Brent's bounded method; returns (x, success).
+
+    Brent (1973), Algorithms for Minimization without Derivatives, ch. 5:
+    golden-section steps, replaced by a parabola through the three best
+    points whenever it lands inside the bracket and moves less than half
+    the step before last.  This is a step-for-step port of scipy 1.17's
+    optimize._optimize._minimize_scalar_bounded (BSD-3-Clause), so x, the
+    evaluations and success are scipy's bit for bit.  x is the latest
+    point that ties or beats every earlier one.  success is False when
+    maxiter evaluations run out, or when x, f(x) or the last f(u) is NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = 0.0, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    success = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through (xf, fx), (nfc, fnfc) and (fulc, ffulc)
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    # the sign rule counts zero as +1
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            success = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        success = False
+    return xf, success
+
+
 def _search_theta(spectrum: _JudgeSpectrum) -> tuple[bool, float]:
     """Bounded minimization of the profiled criterion over theta >= 0.
 
-    The search runs in u = log1p(theta) with an absolute tolerance of
-    1e-12, far below the documented 1e-8 relative target on theta.  Each
-    candidate costs one O(b) profile from the judge spectrum.  The point
-    bounded Brent reports, the latest evaluation that ties or beats every
-    earlier one, is then priced against the boundary theta = 0, which
-    wins ties.  Returns (converged, theta).
+    The search is _bounded_brent in u = log1p(theta) with an absolute
+    tolerance of 1e-12, far below the documented 1e-8 relative target on
+    theta.  Each candidate costs one O(b) profile from the judge
+    spectrum.  The point Brent reports, the latest evaluation that ties
+    or beats every earlier one, is then priced against the boundary
+    theta = 0, which wins ties.  Returns (converged, theta).
     """
-    # imported here: only the random fit searches, and nbibd's design
-    # commands should not pay for loading scipy.optimize
-    from scipy.optimize import minimize_scalar
-
-    result = minimize_scalar(
-        lambda u: spectrum.profile(float(np.expm1(u)))[0],
-        bounds=(0.0, math.log1p(_THETA_MAX)),
-        method="bounded",
-        options={"xatol": 1e-12},
+    u, success = _bounded_brent(
+        lambda u: spectrum.profile(float(np.expm1(u)))[0], math.log1p(_THETA_MAX), xatol=1e-12
     )
-    interior = float(np.expm1(result.x))
+    interior = float(np.expm1(u))
     theta = 0.0 if spectrum.profile(0.0)[0] <= spectrum.profile(interior)[0] else interior
-    return bool(result.success), theta
+    return success, theta
 
 
 def fit_random(design: Design, scores: ScoreTable) -> FitResult:

@@ -30,7 +30,7 @@ from nbibd import (
     write_scores,
 )
 from nbibd.design import Block, Design
-from nbibd.model import _JudgeSpectrum
+from nbibd.model import _bounded_brent, _JudgeSpectrum
 
 
 def sample_table(seed, t=18, k=4, b=12, kind="nb1", sd_judge=6.0):
@@ -285,12 +285,64 @@ def test_estimated_ratio_is_the_bounded_search_point_or_zero(case):
     )
     interior = float(np.expm1(result.x))
     fit = fit_random(design, table)
-    ratio = fit.var_judge / fit.var_error
+    # var_judge is theta * var_error as computed, which the quotient
+    # var_judge / var_error can miss by an ulp
     if reml_criterion(table, 0.0) >= reml_criterion(table, interior):
-        assert ratio == 0.0
+        assert fit.var_judge == 0.0
     else:
-        assert ratio == pytest.approx(interior, rel=1e-9)
-    assert (ratio == 0.0) == (case == "zero boundary")
+        assert fit.var_judge == interior * fit.var_error
+    assert (fit.var_judge == 0.0) == (case == "zero boundary")
+
+
+def fit_criterion(case):
+    """The profiled criterion in u = log1p(theta) that fit_random's search minimizes."""
+    if case == "dropped cells":
+        _, table = dropped_cells_table(8)
+    elif case == "zero boundary":
+        _, table = zero_boundary_case()
+    else:
+        _, table = sample_table(8, t=200, k=5, b=100, kind=case, sd_judge=3.0)
+    spectrum = _JudgeSpectrum(table)
+    return lambda u: spectrum.profile(float(np.expm1(u)))[0]
+
+
+SEARCH_CASES = {
+    # name: (function, upper bound, xatol, maxiter)
+    **{
+        f"fit {case}": (lambda case=case: fit_criterion(case), math.log1p(1e6), 1e-12, 500)
+        for case in ("nb1", "nb2", "random", "dropped cells", "zero boundary")
+    },
+    "inside": (lambda: lambda x: (x - 3.7) ** 2 + math.sin(5.0 * x) / 50.0, math.log1p(1e6), 1e-12, 500),
+    "at zero": (lambda: lambda x: x + 1.0, 2.0, 1e-12, 500),
+    "at the upper bound": (lambda: lambda x: -math.exp(x), 1.5, 1e-5, 500),
+    "flat": (lambda: lambda x: 2.5, math.log1p(1e6), 1e-12, 500),
+    "nan everywhere": (lambda: lambda x: math.nan, 3.0, 1e-12, 500),
+    "nan above 4": (lambda: lambda x: math.nan if x > 4.0 else (x - 4.5) ** 2, math.log1p(1e6), 1e-12, 500),
+    "maxiter runs out": (lambda: lambda x: (x - 3.7) ** 2, math.log1p(1e6), 1e-12, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_bounded_brent_is_scipys_bounded_method_bit_for_bit(case):
+    # the same point, bit for bit, after the same evaluations and with
+    # the same success as scipy's own bounded Brent
+    from scipy.optimize import minimize_scalar
+
+    make, upper, xatol, maxiter = SEARCH_CASES[case]
+    func = make()
+    ours, theirs = [], []
+    x, success = _bounded_brent(lambda u: ours.append(u) or func(u), upper, xatol, maxiter)
+    result = minimize_scalar(
+        lambda u: theirs.append(u) or func(u),
+        bounds=(0.0, upper),
+        method="bounded",
+        options={"xatol": xatol, "maxiter": maxiter},
+    )
+    assert np.float64(x).tobytes() == np.float64(result.x).tobytes()
+    assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+    assert len(ours) == result.nfev
+    assert success == result.success
+    assert success == (case not in ("nan everywhere", "nan above 4", "maxiter runs out"))
 
 
 def test_interpolating_scores_zero_both_variance_components():
