@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,29 +33,23 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
     The file is written to a sibling temp file and renamed over path, so
     readers never observe a partial file: the rename is atomic on POSIX,
     and a crash or a failing row leaves the original untouched.  The
-    file gets the mode open() gives a new file, 0o666 less the umask, in
-    place of the temp file's owner-only 0o600.
+    temp file has a random name and is created exclusively with mode
+    0o666, so the kernel applies the umask and the file gets the mode
+    open() gives a new file; the process umask is never changed.
     """
     parent = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix=".csv")
+    tmp = os.path.join(parent, f".tmp-{os.urandom(8).hex()}.csv")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _umask() -> int:
-    # the process umask can only be read by setting it
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def read_csv(

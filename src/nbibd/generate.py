@@ -19,9 +19,9 @@ Design; block j is a faculty block when j < config.faculty_blocks.
 Work whose answer is known is skipped, never the random draws: the
 review-count strata are built once per block and shared by its rejected
 draws, and an nb1 block whose every draw must take the same conflicting
-posters makes only the rng.choice calls of its remaining attempts
-before it restarts.  The stream, every design and every trace are those
-of drawing each attempt in full.
+posters draws its remaining attempts without checking them and restarts.
+nb1 keeps the pairs that have met as a set of codes a*t + b (a < b),
+seeded from the rows already drawn; no kind forms the t x t pair tally.
 """
 
 from __future__ import annotations
@@ -112,74 +112,47 @@ def _anchor_pool(replication: np.ndarray, r_f: int) -> tuple[np.ndarray, np.ndar
     return reviewed, (weights / total if total > 0.0 else None)
 
 
-def _fill_least_reviewed(
-    strata: list[np.ndarray],
-    members: list[int],
-    k: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Complete a block by sampling from the least-reviewed stratum upward.
-
-    members is empty or holds the anchor, which its stratum then offers
-    no more; each stratum is taken whole until the last one, sampled.
-    """
-    chosen = list(members)
-    need = k - len(chosen)
-    for stratum in strata:
-        if need == 0:
-            break
-        if members:
-            stratum = stratum[stratum != members[0]]
-        take = min(need, stratum.size)
-        if take:
-            chosen.extend(rng.choice(stratum, size=take, replace=False).tolist())
-            need -= take
-    return chosen
-
-
 def _draw_block(
     strata: list[np.ndarray],
     anchors: tuple[np.ndarray, np.ndarray | None] | None,
     k: int,
     rng: np.random.Generator,
 ) -> list[int]:
-    """One candidate block of any kind: the faculty anchor when there is one, then the least-reviewed fill."""
+    """One candidate block of any kind: the faculty anchor when there is one, then the least-reviewed fill.
+
+    The fill samples the strata from the least-reviewed upward, taking
+    each whole until the last one, sampled; the anchor's stratum offers
+    it no more.
+    """
     members: list[int] = []
+    anchor: int | None = None
     if anchors is not None:
         reviewed, probabilities = anchors
-        members.append(int(rng.choice(reviewed, p=probabilities)))
-    return _fill_least_reviewed(strata, members, k, rng)
+        anchor = int(rng.choice(reviewed, p=probabilities))
+        members.append(anchor)
+    for stratum in strata:
+        need = k - len(members)
+        if need == 0:
+            break
+        if anchor is not None:
+            stratum = stratum[stratum != anchor]
+        take = min(need, stratum.size)
+        if take:
+            members.extend(rng.choice(stratum, size=take, replace=False).tolist())
+    return members
+
+
+def _pair_codes(members: list[int], t: int) -> list[int]:
+    """Each pair a < b of distinct members as the code a*t + b, in ascending (a, b) order."""
+    return [a * t + b for a, b in combinations(sorted(members), 2)]
 
 
 def _met_pair(met: set[int], t: int, members: list[int]) -> tuple[int, int] | None:
-    """The first pair of members that has already met, in ascending id order, or None.
-
-    met holds each pair a < b that has met as the code a*t + b.
-    """
-    for a, b in combinations(sorted(members), 2):
-        if a * t + b in met:
-            return a, b
+    """The first pair of members whose code is in met, in ascending id order, or None."""
+    for code in _pair_codes(members, t):
+        if code in met:
+            return divmod(code, t)
     return None
-
-
-def _replay_forced_draws(strata: list[np.ndarray], k: int, attempts: int, rng: np.random.Generator) -> None:
-    """Advance rng as `attempts` more draws of a forced block would, without building them.
-
-    Each such draw takes the least-reviewed strata whole, up to k
-    posters, with one rng.choice per stratum; these are the same calls
-    with the same arguments, so the stream ends where the draws would
-    have left it.
-    """
-    taken: list[np.ndarray] = []
-    count = 0
-    for stratum in strata:
-        if count == k:
-            break
-        taken.append(stratum)
-        count += stratum.size
-    for _ in range(attempts):
-        for stratum in taken:
-            rng.choice(stratum, size=stratum.size, replace=False)
 
 
 def _append_blocks(
@@ -188,30 +161,25 @@ def _append_blocks(
     ids: np.ndarray,
     start: int,
     replication: np.ndarray,
-    concurrence: np.ndarray | None,
     rng: np.random.Generator,
     stop_at_dead_end: bool = False,
 ) -> int:
     """Draw rows start.. of ids in place, updating replication; returns the rejected count.
 
-    concurrence is the pair tally of rows ..start, or None for no pair
-    met yet.  Only nb1's pair check reads it, once, into a set of met
-    pairs that each accepted block then extends.  Every block of every
-    kind is one _draw_block over strata built once, before its first
-    draw, since the tallies only change when a block is accepted: the
-    random baseline reads its tally clipped at 1, so its strata are the
-    unreviewed and the reviewed posters, and a block in (0, b_min) of
-    nb1 and nb2 also draws a faculty anchor.  nb1 discards any candidate
-    that would let a pair of posters meet twice and raises
-    _RestartSignal once a single block has collected config.max_attempts
-    consecutive discards.  A
-    discard past the faculty phase is forced when its posters are
-    exactly the k reviewed at most as often as the most-reviewed of
-    them: every stratum it touched was taken whole, so every later
-    attempt would draw the same posters and meet the same pair.  Then the
-    remaining attempts only replay their rng.choice calls, count as
-    discards, and _RestartSignal follows at once, leaving the stream, the
-    count and the restart exactly where the full loop would.
+    Every block of every kind is one _draw_block over strata built once,
+    before its first draw, since the tallies only change when a block is
+    accepted: the random baseline reads its tally clipped at 1, so its
+    strata are the unreviewed and the reviewed posters, and a block in
+    (0, b_min) of nb1 and nb2 also draws a faculty anchor.  nb1 discards
+    any candidate that would let a pair of posters meet twice, checked
+    against the pair codes of rows ..start and of each accepted block,
+    and raises _RestartSignal once a single block has collected
+    config.max_attempts consecutive discards.  A discard past the
+    faculty phase is forced when its posters are exactly the k reviewed
+    at most as often as the most-reviewed of them: every stratum it
+    touched was taken whole, so every later attempt draws the same
+    posters and meets the same pair.  Then the remaining attempts are
+    drawn unchecked, count as discards, and _RestartSignal follows.
     stop_at_dead_end is for extend, which may not restart: it raises
     NB1InfeasibleBudget in place of _RestartSignal, and already at a
     forced discard.
@@ -220,11 +188,7 @@ def _append_blocks(
     b_min, t = config.b_min, config.t
     near_balanced = kind is not GeneratorKind.RANDOM
     nb1 = kind is GeneratorKind.NB1
-    met: set[int] = set()
-    if nb1 and concurrence is not None:
-        # the pairs a < b that met in rows before start, as codes a*t + b
-        first, second = np.nonzero(np.triu(concurrence, 1))
-        met.update((first * t + second).tolist())
+    met = {code for row in ids[:start].tolist() for code in _pair_codes(row, t)} if nb1 else set()
     covered = False
     for index in range(start, ids.shape[0]):
         if near_balanced:
@@ -252,7 +216,8 @@ def _append_blocks(
                         f"already met; an nb2 continuation can finish the session"
                     )
                 remaining = config.max_attempts - discards
-                _replay_forced_draws(strata, config.k, remaining, rng)
+                for _ in range(remaining):
+                    _draw_block(strata, anchors, config.k, rng)
                 raise _RestartSignal(rejected + remaining)
             if discards >= config.max_attempts:
                 if stop_at_dead_end:
@@ -264,7 +229,7 @@ def _append_blocks(
         ids[index] = members
         replication[members] += 1
         if nb1:
-            met.update(a * t + b for a, b in combinations(sorted(members), 2))
+            met.update(_pair_codes(members, t))
     return rejected
 
 
@@ -319,7 +284,7 @@ def generate(
         replication = np.zeros(config.t, dtype=np.int64)
         ids = np.empty((config.b, config.k), dtype=np.int64)
         try:
-            rejected_total += _append_blocks(config, kind, ids, 0, replication, None, rng)
+            rejected_total += _append_blocks(config, kind, ids, 0, replication, rng)
         except _RestartSignal as signal:
             rejected_total += signal.rejected
             restarts += 1
@@ -344,8 +309,9 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     this operation promises never to do.  It raises at the first
     rejected draw already when the draw was forced (past the faculty
     phase, every least-reviewed stratum it touched taken whole), since
-    every later attempt would draw the same posters.  Only nb1 forms the
-    pair tally, which its pair check reads; nb2 and random never do.
+    every later attempt would draw the same posters.  nb1 reads the pairs
+    that met in the prefix from its rows; no kind forms the t x t pair
+    tally.
     The result's id array is new, its first rows a copy of design.ids;
     appended block j is faculty when j < faculty_blocks.
     """
@@ -361,6 +327,5 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     ids = np.empty((config.b, config.k), dtype=np.int64)
     ids[:start] = design.ids
     replication = design.replication.copy()
-    concurrence = design.concurrence if kind is GeneratorKind.NB1 else None
-    _append_blocks(config, kind, ids, start, replication, concurrence, rng, stop_at_dead_end=True)
+    _append_blocks(config, kind, ids, start, replication, rng, stop_at_dead_end=True)
     return Design(config, ids)

@@ -318,14 +318,14 @@ def _metric_summary(values: Sequence[float]) -> MetricSummary:
 
 def _difference_summary(diffs: np.ndarray) -> DifferenceSummary:
     """The metric summary of paired differences plus a paired-t 95% interval on their mean."""
-    # imported here: scipy.stats costs a third of a second to load, and
-    # only simulate and report read this quantile
-    from scipy.stats import t as student_t
+    # imported here, and from scipy.special: only simulate and report
+    # read this quantile, and scipy.stats would load hundreds of modules
+    from scipy.special import stdtrit
 
     summary = _metric_summary(diffs)
     half = math.nan
     if summary.n > 1:
-        half = float(student_t.ppf(0.975, summary.n - 1)) * summary.sd / math.sqrt(summary.n)
+        half = float(stdtrit(summary.n - 1, 0.975)) * summary.sd / math.sqrt(summary.n)
     return DifferenceSummary(
         **dataclasses.asdict(summary),
         ci_low=summary.mean - half,

@@ -334,6 +334,28 @@ def test_score_loads_the_fit_layers_but_not_scipy_stats(tmp_path, capsys):
     assert not {"scipy.optimize", "scipy.linalg", "scipy.stats"} & packages
 
 
+def test_report_loads_no_scipy_stats(tmp_path):
+    # the paired-t quantile comes from scipy.special, which loads neither
+    # scipy.stats nor the scipy.optimize and scipy.linalg that it brings
+    metrics = str(tmp_path / "metrics.csv")
+    write_metrics(metrics, [
+        IterationResult(
+            iteration,
+            {kind: DesignMetrics(0.1 * (iteration + rank), 1.0 + iteration * rank, 2.0, 3.0, False)
+             for rank, kind in enumerate(GeneratorKind)},
+        )
+        for iteration in range(3)
+    ])
+    lines, codes, scipy_modules = fresh_run([
+        ["report", metrics, "--out", str(tmp_path / "summary.csv"), "--hist-out", str(tmp_path / "hist.csv")]
+    ])
+    assert codes == [0]
+    assert "iterations=3 designs=3" in lines[-1]
+    assert "scipy.special" in scipy_modules
+    packages = {".".join(module.split(".")[:2]) for module in scipy_modules}
+    assert not {"scipy.optimize", "scipy.linalg", "scipy.stats"} & packages
+
+
 def test_validate_of_a_prefix_disconnected_design_in_a_fresh_interpreter(tmp_path):
     # the first-seen rule fails on both files, so validate asks
     # is_connected, whose scipy import happens at that call

@@ -24,7 +24,7 @@ from nbibd import (
 from nbibd.cli import main
 from nbibd.design import Block, Design
 from draw_oracle import OracleRestart, append_blocks, oracle_generate
-from tally_oracle import tallies_match_oracle
+from tally_oracle import brute_force_tallies, tallies_match_oracle
 
 # the package re-exports the function generate under the module's name
 generate_module = importlib.import_module("nbibd.generate")
@@ -270,10 +270,12 @@ def test_extend_nb1_fails_fast_at_a_forced_dead_end(monkeypatch):
     assert extend(design, 1, "nb2").b == 80
 
 
-def test_nb2_arrival_forms_no_pair_tally(tmp_path, monkeypatch):
-    # read -> nb2 extend -> write, in the library and through the CLI,
-    # must never derive the t x t concurrence
-    base, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), "nb2")
+@pytest.mark.parametrize("kind", ["nb1", "nb2"])
+def test_arrivals_form_no_pair_tally(tmp_path, monkeypatch, kind):
+    # read -> extend -> write, in the library and through the CLI, must
+    # never derive the t x t concurrence: nb1 reads the met pairs from
+    # the prefix rows
+    base, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), kind)
     path = tmp_path / "design.csv"
     write_design(str(path), base)
 
@@ -281,9 +283,9 @@ def test_nb2_arrival_forms_no_pair_tally(tmp_path, monkeypatch):
         raise AssertionError("a t x t pair tally was formed")
 
     monkeypatch.setattr(Design, "concurrence", property(refuse))
-    grown = extend(read_design(str(path), seed=9), 3, "nb2")
+    grown = extend(read_design(str(path), seed=9), 3, kind)
     write_design(str(path), grown)
-    argv = ["extend", "--design", str(path), "--blocks", "1", "--kind", "nb2", "--seed", "9", "--out", str(path)]
+    argv = ["extend", "--design", str(path), "--blocks", "1", "--kind", kind, "--seed", "9", "--out", str(path)]
     assert main(argv) == 0
     assert read_design(str(path)).blocks[:15] == grown.blocks
     with pytest.raises(AssertionError, match="pair tally"):
@@ -560,39 +562,48 @@ def matches_oracle(config, kind, monkeypatch, restart_budget=50):
     )
 
 
-# posters 0-2 are the only ones below review count 2 and 0 and 1 have
-# met, so every draw of the next block takes 0, 1 and 2 and is rejected;
-# with poster 0 unreviewed the draw takes two strata whole
+# posters 0-2 are the only ones below review count 2 and only 0 and 1
+# of them have met, in the first prefix row, so every draw of the next
+# block takes 0, 1 and 2 and is rejected; with poster 0 unreviewed the
+# draw takes two strata whole
 @pytest.mark.parametrize("levels", [(1, 1, 1), (0, 1, 1)])
 def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, levels):
     config = DesignConfig(t=9, k=3, b=6, seed=5, max_attempts=50)
     start = config.b_min
     assert start < config.b
+    prefix = [(0, 1, 3), (3, 4, 5), (4, 6, 7), (5, 6, 8), (2, 7, 8)]
+    _, concurrence = brute_force_tallies(config.t, [Block(j, row, True) for j, row in enumerate(prefix)])
 
     def tallies():
         replication = np.full(config.t, 2, dtype=np.int64)
         replication[:3] = levels
-        concurrence = np.zeros((config.t, config.t), dtype=np.int64)
-        concurrence[0, 1] = concurrence[1, 0] = 1
-        return replication, concurrence, np.zeros((config.b, config.k), dtype=np.int64)
+        ids = np.zeros((config.b, config.k), dtype=np.int64)
+        ids[:start] = prefix
+        return replication, ids
 
-    draws = []
-    draw_block = generate_module._draw_block
+    calls = {"_draw_block": 0, "_met_pair": 0}
 
-    def counted(*args):
-        draws.append(None)
-        return draw_block(*args)
+    def counted(name):
+        function = getattr(generate_module, name)
 
-    monkeypatch.setattr(generate_module, "_draw_block", counted)
-    replication, concurrence, ids = tallies()
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(generate_module, name, counted(name))
+    replication, ids = tallies()
     fast = np.random.Generator(np.random.PCG64(config.seed))
     with pytest.raises(generate_module._RestartSignal) as excinfo:
-        generate_module._append_blocks(config, GeneratorKind.NB1, ids, start, replication, concurrence, fast)
-    replication, concurrence, ids = tallies()
+        generate_module._append_blocks(config, GeneratorKind.NB1, ids, start, replication, fast)
+    replication, ids = tallies()
     full = np.random.Generator(np.random.PCG64(config.seed))
     with pytest.raises(OracleRestart) as oracle:
         append_blocks(config, "nb1", ids, start, replication, concurrence, full)
-    assert len(draws) == 1
+    # the first discard is found forced, so the rest are drawn unchecked
+    assert calls == {"_draw_block": config.max_attempts, "_met_pair": 1}
     assert excinfo.value.rejected == oracle.value.rejected == config.max_attempts
     assert fast.bit_generator.state == full.bit_generator.state
 

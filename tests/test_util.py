@@ -29,6 +29,22 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
+def test_a_write_never_sets_the_umask(tmp_path, monkeypatch):
+    # setting the umask, even to read it, would race with files other
+    # threads create; the kernel applies it to the created temp file
+    def refuse(mask):
+        raise AssertionError("os.umask was called")
+
+    previous = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", refuse)
+        write_csv(str(tmp_path / "table.csv"), ["a"], [[1]])
+    finally:
+        monkeypatch.undo()
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "table.csv").stat().st_mode) == 0o666 & ~0o027
+
+
 @pytest.mark.parametrize("value", [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300])
 def test_format_float_is_the_shortest_round_trip_repr(value):
     text = format_float(value)
