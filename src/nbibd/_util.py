@@ -3,7 +3,11 @@
 write_csv and read_csv own the framing shared by the design, scores,
 fit, metrics, summary and histogram files: a header row, \\n line ends,
 atomic replacement, rows numbered for error messages, column-count
-checks and the empty-file error.  The parse_* helpers turn one cell into
+checks, the empty-file error, and a UTF-8 byte-order mark skipped on
+reading and never written.  A column's type (int, float, bool or str)
+decides how its cells are spelled and parsed: write_csv and format_cell
+write a bool as true/false, a float by format_float, NaN and None as the
+empty cell, and int and str as given.  The parse_* helpers turn one cell into
 a value (an integer must fit int64) or a FileFormatError naming its row and column;
 parse_columns turns a table's data rows into one array per column by the same rule.
 """
@@ -27,16 +31,21 @@ class FileFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header row and then rows as CSV with \\n line ends, atomically.
+def write_csv(path: str, header: Sequence[str], types: Sequence[type], columns: Iterable[Iterable[object]]) -> None:
+    """Write a header row and then the rows of columns as CSV with \\n line ends, atomically.
 
-    The file is written to a sibling temp file and renamed over path, so
-    readers never observe a partial file: the rename is atomic on POSIX,
-    and a crash or a failing row leaves the original untouched.  The
-    temp file has a random name and is created exclusively with mode
-    0o666, so the kernel applies the umask and the file gets the mode
-    open() gives a new file; the process umask is never changed.
+    The i-th column holds cells of type types[i], as parse_columns
+    returns them, spelled by that type's rule as the rows are written;
+    int and str cells are written as given.  The file is written to a
+    sibling temp file and renamed over path, so readers never observe a
+    partial file: the rename is atomic on POSIX, and a crash or a
+    failing row leaves the original untouched.  The temp file has a
+    random name and is created exclusively with mode 0o666, so the
+    kernel applies the umask and the file gets the mode open() gives a
+    new file; the process umask is never changed.
     """
+    spellers = [_COLUMN_TYPES[kind][3] for kind in types]
+    rows = zip(*[column if spell is None else map(spell, column) for spell, column in zip(spellers, columns)])
     parent = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(parent, f".tmp-{os.urandom(8).hex()}.csv")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -63,7 +72,7 @@ def read_csv(
     lazily, so a caller can check a variable header before any row, and
     each row must have as many cells as the header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise FileFormatError(path, None, "empty file")
@@ -85,6 +94,11 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _format_float_cell(value: float | None) -> str:
+    # NaN is the one value unequal to itself
+    return "" if value is None or value != value else format_float(value)
+
+
 def parse_float(text: str, path: str, row: int, column: str) -> float:
     try:
         return float(text)
@@ -103,6 +117,7 @@ def parse_int(text: str, path: str, row: int, column: str) -> int:
 
 
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
+_BOOL_CELLS = {True: "true", False: "false", None: ""}
 
 
 def _to_bool(text: str) -> bool:
@@ -120,14 +135,22 @@ def _parse_text(text: str, path: str, row: int, column: str) -> str:
     return text
 
 
-# per column type: the conversion of one cell, the column's dtype, and the parser naming a faulty cell
+# per column type: the conversion of one cell, the column's dtype, the
+# parser naming a faulty cell, and the spelling of a written value (None:
+# csv's own, which writes str(value) and None as the empty cell)
 _COLUMN_TYPES = {
-    int: (int, np.int64, parse_int),
-    float: (float, np.float64, parse_float),
-    bool: (_to_bool, np.bool_, parse_bool),
+    int: (int, np.int64, parse_int, None),
+    float: (float, np.float64, parse_float, _format_float_cell),
+    bool: (_to_bool, np.bool_, parse_bool, _BOOL_CELLS.__getitem__),
     # any text is a valid cell, kept as the str it was read as
-    str: (str, object, _parse_text),
+    str: (str, object, _parse_text, None),
 }
+
+
+def format_cell(value: object, kind: type) -> str:
+    """value spelled as write_csv spells it in a column of type kind."""
+    spell = _COLUMN_TYPES[kind][3]
+    return spell(value) if spell else "" if value is None else str(value)
 
 
 def parse_columns(
@@ -151,11 +174,11 @@ def parse_columns(
             table.append(numbered)
         columns = list(zip(*(row for _, row in table))) or [()] * len(kinds)
         return [
-            np.array(list(map(convert, column)), dtype=dtype) for (convert, dtype, _), column in zip(kinds, columns)
+            np.array(list(map(convert, column)), dtype=dtype) for (convert, dtype, _, _), column in zip(kinds, columns)
         ]
     # read_csv's width fault is a FileFormatError, and so a ValueError
     except (KeyError, ValueError, OverflowError):
         for number, row in table:
-            for (_, _, parse), cell, name in zip(kinds, row, header):
+            for (_, _, parse, _), cell, name in zip(kinds, row, header):
                 parse(cell, path, number, name)
         raise

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 from . import __version__
-from ._util import FileFormatError, format_float
+from ._util import FileFormatError, format_cell
 from .design import DesignConfig, read_design, validate, write_design
 from .generate import GeneratorKind, NB1InfeasibleBudget, extend, generate
 from .model import (
@@ -43,10 +42,6 @@ _POSTERS_HELP = "poster count if the file leaves trailing ids unreviewed"
 
 class _ValidationFailure(RuntimeError):
     """Requested invariants do not hold; maps to exit code 1."""
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -173,10 +168,10 @@ def _cmd_validate(args: argparse.Namespace) -> None:
     report = validate(design)
     print(
         f"command=validate blocks={design.b} spread={report.replication_spread} "
-        f"max_lambda={report.max_concurrence} covered={_flag(report.covered)} "
-        f"connected={_flag(report.connected)} "
-        f"all_prefixes_connected={_flag(report.all_prefixes_connected)} "
-        f"faculty_ok={_flag(report.faculty_coverage_ok)}"
+        f"max_lambda={report.max_concurrence} covered={format_cell(report.covered, bool)} "
+        f"connected={format_cell(report.connected, bool)} "
+        f"all_prefixes_connected={format_cell(report.all_prefixes_connected, bool)} "
+        f"faculty_ok={format_cell(report.faculty_coverage_ok, bool)}"
     )
     problems: list[str] = []
     kind = GeneratorKind(args.kind) if args.kind else None
@@ -210,11 +205,10 @@ def _cmd_score(args: argparse.Namespace) -> None:
     write_fit(args.out, fit)
     summary_path = args.summary_out or _summary_path(args.out)
     write_fit_summary(summary_path, fit)
-    var_judge = "" if math.isnan(fit.var_judge) else format_float(fit.var_judge)
     print(
-        f"command=score model={fit.model_kind} grand_mean={format_float(fit.grand_mean)} "
-        f"var_judge={var_judge} var_error={format_float(fit.var_error)} "
-        f"converged={_flag(fit.converged)} condition={format_float(fit.condition_number)} "
+        f"command=score model={fit.model_kind} grand_mean={format_cell(fit.grand_mean, float)} "
+        f"var_judge={format_cell(fit.var_judge, float)} var_error={format_cell(fit.var_error, float)} "
+        f"converged={format_cell(fit.converged, bool)} condition={format_cell(fit.condition_number, float)} "
         f"out={args.out} summary={summary_path}"
     )
 

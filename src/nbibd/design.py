@@ -342,13 +342,18 @@ def validate(design: Design) -> ValidationReport:
     )
 
 
+def _design_columns(k: int) -> tuple[list[str], list[type]]:
+    """The design file's header and column types for blocks of k posters."""
+    return ["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(k)], [int, bool] + [int] * k
+
+
 def write_design(path: str, design: Design) -> None:
     """Write the design as CSV: judge_index,faculty,poster_1,...,poster_k."""
     faculty = design.config.faculty_blocks
     write_csv(
         path,
-        ["judge_index", "faculty"] + [f"poster_{i + 1}" for i in range(design.k)],
-        ([j, "true" if j < faculty else "false", *posters] for j, posters in enumerate(design.ids.tolist())),
+        *_design_columns(design.k),
+        [range(design.b), [j < faculty for j in range(design.b)], *design.ids.T.tolist()],
     )
 
 
@@ -383,12 +388,13 @@ def read_design(
     if len(header) < 3 or header[:2] != ["judge_index", "faculty"]:
         raise FileFormatError(path, 1, "header must start with judge_index,faculty,poster_1,...")
     k = len(header) - 2
-    if header[2:] != [f"poster_{i + 1}" for i in range(k)]:
+    names, types = _design_columns(k)
+    if header != names:
         raise FileFormatError(path, 1, "poster columns must be named poster_1..poster_k")
     if k < 2:
         raise FileFormatError(path, 1, f"a block needs at least 2 poster columns, got {k}")
 
-    judges, faculty, *posters = parse_columns(path, header, rows, [int, bool] + [int] * k)
+    judges, faculty, *posters = parse_columns(path, header, rows, types)
     if not judges.size:
         raise FileFormatError(path, None, "no blocks")
 

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
+from ._util import FileFormatError, parse_columns, read_csv, write_csv
 from .design import Design
 
 __all__ = [
@@ -599,24 +599,19 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
 
 
 _SCORES_HEADER = ["judge_index", "poster_id", "score"]
+_SCORES_TYPES = [int, int, float]
 
 
 def write_scores(path: str, table: ScoreTable) -> None:
     """Write observations as CSV: judge_index,poster_id,score."""
-    write_csv(
-        path,
-        _SCORES_HEADER,
-        (
-            [int(judge), int(poster), format_float(score)]
-            for judge, poster, score in zip(table.judges, table.posters, table.scores)
-        ),
-    )
+    columns = [table.judges.tolist(), table.posters.tolist(), table.scores.tolist()]
+    write_csv(path, _SCORES_HEADER, _SCORES_TYPES, columns)
 
 
 def read_scores(path: str, t: int, b: int, design: Design | None = None) -> ScoreTable:
     """Read a judge_index,poster_id,score CSV into a ScoreTable."""
     header, rows = read_csv(path, _SCORES_HEADER)
-    judges, posters, scores = parse_columns(path, header, rows, [int, int, float])
+    judges, posters, scores = parse_columns(path, header, rows, _SCORES_TYPES)
     if not judges.size:
         raise FileFormatError(path, None, "no observations")
     try:
@@ -631,31 +626,21 @@ def write_fit(path: str, fit: FitResult) -> None:
     Unreviewed posters keep their row with empty estimate cells so the
     file always has one row per poster id.
     """
+    # an unreviewed poster's NaN estimates, and its rank 0 passed as None, are empty cells
+    ranks = [rank or None for rank in fit.rank.tolist()]
     write_csv(
         path,
         ["poster_id", "pmm", "se", "rank"],
-        (
-            [poster, format_float(fit.pmm[poster]), format_float(fit.se[poster]), int(fit.rank[poster])]
-            if fit.rank[poster] > 0
-            else [poster, "", "", ""]
-            for poster in range(fit.pmm.shape[0])
-        ),
+        [int, float, float, int],
+        [range(len(ranks)), fit.pmm.tolist(), fit.se.tolist(), ranks],
     )
 
 
 def write_fit_summary(path: str, fit: FitResult) -> None:
     """Write the one-row sidecar: model_kind,grand_mean,var_judge,var_error,converged."""
-    var_judge = "" if math.isnan(fit.var_judge) else format_float(fit.var_judge)
     write_csv(
         path,
         ["model_kind", "grand_mean", "var_judge", "var_error", "converged"],
-        [
-            [
-                fit.model_kind,
-                format_float(fit.grand_mean),
-                var_judge,
-                format_float(fit.var_error),
-                "true" if fit.converged else "false",
-            ]
-        ],
+        [str, float, float, float, bool],
+        [[fit.model_kind], [fit.grand_mean], [fit.var_judge], [fit.var_error], [fit.converged]],
     )

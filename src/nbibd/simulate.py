@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import FileFormatError, format_float, parse_columns, read_csv, write_csv
+from ._util import FileFormatError, parse_columns, read_csv, write_csv
 from .design import DesignConfig, is_connected
 from .generate import GeneratorKind, NB1InfeasibleBudget, _nb1_counting_fault, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
@@ -416,6 +416,7 @@ def summarize_differences(
 
 
 _METRICS_HEADER = ["iteration", "design", *METRICS, "disconnected"]
+_METRICS_TYPES = [int, str, *[float] * len(METRICS), bool]
 
 
 def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
@@ -427,14 +428,10 @@ def write_metrics(path: str, results: Sequence[IterationResult]) -> None:
                 if kind not in result.metrics:
                     continue
                 entry = result.metrics[kind]
-                yield [
-                    result.iteration,
-                    kind.value,
-                    *[format_float(getattr(entry, metric)) for metric in METRICS],
-                    "true" if entry.disconnected else "false",
-                ]
+                metrics = [getattr(entry, metric) for metric in METRICS]
+                yield [result.iteration, kind.value, *metrics, entry.disconnected]
 
-    write_csv(path, _METRICS_HEADER, rows())
+    write_csv(path, _METRICS_HEADER, _METRICS_TYPES, zip(*rows()))
 
 
 def read_metrics(path: str) -> list[IterationResult]:
@@ -447,7 +444,7 @@ def read_metrics(path: str) -> list[IterationResult]:
     aggregate_results counts as failures.
     """
     header, rows = read_csv(path, _METRICS_HEADER)
-    columns = parse_columns(path, header, rows, [int, str, *[float] * len(METRICS), bool])
+    columns = parse_columns(path, header, rows, _METRICS_TYPES)
     if not columns[0].size:
         raise FileFormatError(path, None, "no metric rows")
     collected: dict[int, dict[GeneratorKind, DesignMetrics]] = {}
@@ -494,10 +491,6 @@ _SUMMARY_HEADER = [
 _SUMMARY_CELLS = ("mean", "sd", "minimum", "maximum", "q025", "q500", "q975", "ci_low", "ci_high")
 
 
-def _cell(value: float) -> str:
-    return "" if math.isnan(value) else format_float(value)
-
-
 def _name(kinds: Sequence[GeneratorKind]) -> str:
     return "-".join(kind.value for kind in kinds)
 
@@ -519,13 +512,13 @@ def write_summary(
     def rows() -> Iterator[list]:
         for section, mapping in (("design", design_summary), ("difference", difference_summary)):
             for (*kinds, metric), summary in mapping.items():
-                cells = [_cell(getattr(summary, name, math.nan)) for name in _SUMMARY_CELLS]
+                cells = [getattr(summary, name, None) for name in _SUMMARY_CELLS]
                 yield [section, _name(kinds), metric, summary.n, *cells]
         for label, counts in (("disconnected", disconnected_counts), ("failed", failure_counts)):
             for kind, count in counts.items():
-                yield ["count", kind.value, label, count] + [""] * len(_SUMMARY_CELLS)
+                yield ["count", kind.value, label, count] + [None] * len(_SUMMARY_CELLS)
 
-    write_csv(path, _SUMMARY_HEADER, rows())
+    write_csv(path, _SUMMARY_HEADER, [str, str, str, int] + [float] * len(_SUMMARY_CELLS), zip(*rows()))
 
 
 _HISTOGRAM_HEADER = ["section", "name", "metric", "bin_left", "bin_right", "count"]
@@ -552,14 +545,7 @@ def write_histogram(
             if np.any(np.diff(np.linspace(low, high, bins + 1)) <= 0.0):
                 low, high = low - 0.5, high + 0.5
             counts, edges = np.histogram(values, bins=bins, range=(low, high))
-            for index in range(counts.size):
-                yield [
-                    section,
-                    _name(kinds),
-                    metric,
-                    format_float(edges[index]),
-                    format_float(edges[index + 1]),
-                    int(counts[index]),
-                ]
+            for left, right, count in zip(edges[:-1], edges[1:], counts):
+                yield [section, _name(kinds), metric, left, right, count]
 
-    write_csv(path, _HISTOGRAM_HEADER, rows())
+    write_csv(path, _HISTOGRAM_HEADER, [str, str, str, float, float, int], zip(*rows()))

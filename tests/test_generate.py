@@ -24,6 +24,7 @@ from nbibd import (
 from nbibd.cli import main
 from nbibd.design import Block, Design
 from draw_oracle import OracleRestart, append_blocks, oracle_generate
+from golden_stack import stack_note
 from tally_oracle import brute_force_tallies, tallies_match_oracle
 
 # the package re-exports the function generate under the module's name
@@ -409,7 +410,8 @@ def design_digest(tmp_path, design):
 @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
 def test_designs_keep_their_bytes(tmp_path, kind, seed):
     design, _ = generate(DesignConfig(t=40, k=4, b=20, seed=seed), kind)
-    assert (design_digest(tmp_path, design), design_digest(tmp_path, extend(design, 5, kind))) == GOLDEN[kind, seed]
+    digests = (design_digest(tmp_path, design), design_digest(tmp_path, extend(design, 5, kind)))
+    assert digests == GOLDEN[kind, seed], stack_note()
 
 
 # nb1 at the paper's shape, t=200, k=5, b=100: seed 3 restarts once and
@@ -435,7 +437,8 @@ PAPER_SHAPE = dict(t=200, k=5, b=100)
 def test_restarted_nb1_designs_keep_their_bytes(tmp_path, seed):
     design, trace = generate(DesignConfig(seed=seed, **PAPER_SHAPE), "nb1")
     extended = extend(design, 5, "nb1")
-    assert (trace, design_digest(tmp_path, design), design_digest(tmp_path, extended)) == RESTART_GOLDEN[seed]
+    digests = (design_digest(tmp_path, design), design_digest(tmp_path, extended))
+    assert (trace, *digests) == RESTART_GOLDEN[seed], stack_note()
 
 
 def test_random_extension_of_an_uncovered_design_keeps_its_bytes(tmp_path):

@@ -31,6 +31,7 @@ from nbibd import (
 )
 from nbibd.design import Block, Design
 from nbibd.model import _bounded_brent, _JudgeSpectrum
+from golden_stack import stack_note
 
 
 def sample_table(seed, t=18, k=4, b=12, kind="nb1", sd_judge=6.0):
@@ -910,4 +911,4 @@ def test_fit_files_keep_their_bytes(tmp_path):
         write_fit(str(tmp_path / f"{name}.csv"), fit)
         write_fit_summary(str(tmp_path / f"{name}.summary.csv"), fit)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIT_GOLDEN}
-    assert digests == FIT_GOLDEN
+    assert digests == FIT_GOLDEN, stack_note()
