@@ -45,7 +45,10 @@ def write_csv(path: str, header: Sequence[str], types: Sequence[type], columns: 
     new file; the process umask is never changed.
     """
     spellers = [_COLUMN_TYPES[kind][3] for kind in types]
-    rows = zip(*[column if spell is None else map(spell, column) for spell, column in zip(spellers, columns)])
+    spelled = [
+        column if spell is None else map(spell, column) for spell, column in zip(spellers, columns, strict=True)
+    ]
+    rows = zip(*spelled, strict=True)
     parent = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(parent, f".tmp-{os.urandom(8).hex()}.csv")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -117,7 +120,7 @@ def parse_int(text: str, path: str, row: int, column: str) -> int:
 
 
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
-_BOOL_CELLS = {True: "true", False: "false", None: ""}
+_BOOL_CELLS = {True: "true", False: "false"}
 
 
 def _to_bool(text: str) -> bool:

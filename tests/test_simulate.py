@@ -482,19 +482,25 @@ def study_shapes(draw):
 @settings(max_examples=60, deadline=None)
 @given(study_shapes(), st.integers(0, 2**32 - 1))
 def test_accepted_shapes_never_abort_or_report_nan(shape, seed):
-    # nb1 shares nb2's faculty phase and hence its reach, and SimParams
-    # also rejects the shapes nb1's counting bound rules out; a shape that
-    # passes the bound but burns nb1's whole restart budget, such as
-    # (t, k, b) = (17, 6, 6), is a recorded failure, never an abort
+    # nb1 shares nb2's faculty phase and hence its reach; a shape past
+    # nb1's counting bound, such as (t, k, b) = (10, 4, 8), is still run
+    # with nb2 and random, and a shape that passes the bound but burns
+    # nb1's whole restart budget, such as (t, k, b) = (17, 6, 6), is a
+    # recorded failure, never an abort
     t, k, b, awards = shape
     reach = k + (b - 1) * (k - 1)
+    if reach < t:
+        with pytest.raises(ValueError, match="reach at most"):
+            SimParams(t=t, k=k, b=b, awards=awards, iterations=1, seed=seed)
+        return
+    kinds = {NB1, NB2, RANDOM}
     try:
         params = SimParams(t=t, k=k, b=b, awards=awards, iterations=1, seed=seed)
     except ValueError as error:
-        assert reach < t or "leave nb1 out of designs" in str(error)
-        return
-    assert reach >= t
+        assert "leave nb1 out of designs" in str(error)
+        kinds = {NB2, RANDOM}
+        params = SimParams(t=t, k=k, b=b, awards=awards, iterations=1, seed=seed, designs=tuple(kinds))
     result = run_iteration(params, 0)
-    assert set(result.metrics) | set(result.failures) == {NB1, NB2, RANDOM}
+    assert set(result.metrics) | set(result.failures) == kinds
     for entry in result.metrics.values():
         assert all(math.isfinite(entry.value(metric)) for metric in METRICS)
