@@ -13,13 +13,14 @@ N(0, var_judge); the variance components come from restricted maximum
 likelihood profiled down to theta, which keeps the search
 one-dimensional, robust, and able to land on the theta = 0 boundary.
 The search is Brent's bounded method, ported step for step from scipy
-(_bounded_brent), so a fit loads no scipy package but scipy.sparse.
+(_bounded_brent), and a fit loads no scipy package at all.
 
-Neither the n-by-n judge covariance nor any poster-by-poster matrix is
-ever formed, and the poster-by-judge incidence is held sparse.  Each
-fit builds one _JudgeSpectrum from its score table: the theta-free
-statistics and one eigendecomposition of a judge-by-judge matrix, for
-any judge sizes and for both fits.  Asked at a theta, it prices a
+Neither the n-by-n judge covariance nor any poster-by-poster or
+poster-by-judge matrix is ever formed: the incidence is held as the
+list of its n ones, sorted by poster.  Each fit builds one
+_JudgeSpectrum from its score table: the theta-free statistics and one
+eigendecomposition of a judge-by-judge matrix, for any judge sizes and
+for both fits.  Asked at a theta, it prices a
 candidate of the search in O(b), and yields the estimates, standard
 errors and condition number at the winning theta, or at theta =
 infinity for the fixed fit.
@@ -208,14 +209,14 @@ def _check_table(design: Design, scores: ScoreTable) -> None:
 class _JudgeSpectrum:
     """Theta-free statistics both fits reduce to the poster system, and their judge spectrum.
 
-    Scores are centered at their mean.  incidence is the poster-by-judge
-    0/1 matrix N over reviewed posters and present judges, held sparse:
-    row i lists poster i's judges in ascending order, so it has n stored
-    ones however many judges there are.  scaled is D^-1 N on the same
-    rows, and spread the dense F below.  N' is built row by row, judge j's posters in ascending order,
-    so products with N' need no conversion of N.  counts is the
-    replication D and v0 each poster's score sum; sizes and totals are
-    each present judge's block size and score total.
+    Scores are centered at their mean.  The incidence N, the poster-by-
+    judge 0/1 matrix over reviewed posters and present judges, is held
+    as its n slots sorted by poster and then judge: slot_posters and
+    slot_judges, so poster i's judges are a run in ascending order.
+    groups holds the same lists by replication r: one (posters, table)
+    pair per r, table an (n_r, r) array whose rows are those posters'
+    judges.  counts is the replication D and v0 each poster's score sum;
+    sizes and totals are each present judge's block size and score total.
 
     Every theta's solve comes from one eigendecomposition of the judge
     matrix.  C(theta) = D - N S N' with S = diag(theta/(1 + theta k_j)),
@@ -232,15 +233,19 @@ class _JudgeSpectrum:
     The last sum of log det C is log det H, which the REML criterion
     adds back, so profile() prices log det H + log det C without either.
     A candidate theta costs O(b), and the winner's estimates and
-    diag(C^-1) need no factorization and no p-by-p inverse.  N is
-    sparse, with n stored ones, and every product taken of it is sparse:
-    N' D^-1 N costs O(sum of squared replications) before it fills the
-    dense b_r-by-b_r M, N'm costs O(n) and F = (D^-1 N) V costs O(n b_r),
-    where a dense N would cost O(p b_r^2) for each of M and F.  theta = inf
-    is the fixed-judge limit: g = 1/mu off the null eigenvalues and 0 on
-    them, which makes C^-1 a generalized inverse of the singular C(inf);
-    M has one null eigenvalue per connected set of judges, and gain()
-    raises DisconnectedDesign when there is more than one.
+    diag(C^-1) need no factorization and no p-by-p inverse.  Nothing
+    p-by-b_r is formed either.  M is one bincount over the judge pairs
+    within each poster, O(sum of squared replications), and N'm and
+    every other product with N or N' is a gather and a bincount over the
+    n slots (poster_sums, judge_sums), so F x = D^-1 N (V x) and
+    F'v = V' N' D^-1 v each cost O(n + b_r^2).  Only diag(C^-1) needs
+    F's rows, (F o F) g: a poster's row is the mean of its judges' rows
+    of V, summed from the group tables a block of rows at a time.
+    theta = inf is the fixed-judge limit: g = 1/mu off the null
+    eigenvalues and 0 on them, which makes C^-1 a generalized inverse of
+    the singular C(inf); M has one null eigenvalue per connected set of
+    judges, and gain() raises DisconnectedDesign when there is more than
+    one.
     With B = D^-1/2 N S^1/2, D^-1/2 C D^-1/2 = I - BB' has no eigenvalue
     above 1 and shares those below 1 with I - B'B = diag(1/(1 + theta k))
     + S^1/2 M S^1/2, whose eigvalsh gives the least; at theta = inf, S =
@@ -253,11 +258,10 @@ class _JudgeSpectrum:
     unequal judge sizes take the second, b_r-by-b_r eigvalsh.
     """
 
-    def __init__(self, scores: ScoreTable) -> None:
-        # imported here: only the fits use scipy.sparse, and nbibd's design
-        # commands should not pay for loading it
-        from scipy.sparse import csr_array
+    # elements of F's rows held at once for diag(C^-1): 256 KB of float64
+    _BLOCK = 1 << 15
 
+    def __init__(self, scores: ScoreTable) -> None:
         posters, judges, y = scores.posters, scores.judges, scores.scores
         self.reviewed, poster_col = np.unique(posters, return_inverse=True)
         judges_present, judge_col = np.unique(judges, return_inverse=True)
@@ -273,21 +277,29 @@ class _JudgeSpectrum:
         self.q0 = float(centered @ centered)
         self.sizes = np.bincount(judge_col, minlength=b_r)
         self.totals = np.bincount(judge_col, weights=centered, minlength=b_r)
-        # rows from the replication, each row's judges in ascending order
-        judge_order = judge_col[np.argsort(poster_col * b_r + judge_col)]
-        indptr = np.concatenate(([0], np.cumsum(replication)))
-        self.incidence = csr_array((np.ones(judge_order.size), judge_order, indptr), shape=(p, b_r))
-        self.scaled = csr_array((np.repeat(1.0 / self.counts, replication), judge_order, indptr), shape=(p, b_r))
-        # N' likewise: rows from the judge sizes, each row's posters in ascending order
-        poster_order = poster_col[np.argsort(judge_col * p + poster_col)]
-        indptr = np.concatenate(([0], np.cumsum(self.sizes)))
-        transposed = csr_array((np.ones(poster_order.size), poster_order, indptr), shape=(b_r, p))
-
-        self.judge_matrix = np.diag(self.sizes) - (transposed @ self.scaled).toarray()
+        self.slot_posters = np.repeat(np.arange(p), replication)
+        self.slot_judges = judge_col[np.argsort(poster_col * b_r + judge_col)]
+        starts = np.cumsum(replication) - replication
+        self.groups = []
+        # each poster's r^2 judge-pair codes, laid out poster by poster so
+        # that every cell of M sums its posters' 1/r in ascending order
+        squares = replication * replication
+        pair_starts = np.cumsum(squares) - squares
+        pairs = np.empty(int(squares.sum()), dtype=np.int64)
+        for r in np.unique(replication).tolist():
+            members = np.flatnonzero(replication == r)
+            table = self.slot_judges[starts[members, None] + np.arange(r)]
+            self.groups.append((members, table))
+            codes = (table[:, :, None] * b_r + table[:, None, :]).reshape(members.size, r * r)
+            pairs[pair_starts[members, None] + np.arange(r * r)] = codes
+        weights = np.repeat(1.0 / self.counts, squares)
+        # M = diag(k) - N' D^-1 N, negated in place: 0 - x and -x + k are exact
+        self.judge_matrix = np.bincount(pairs, weights=weights, minlength=b_r * b_r).reshape(b_r, b_r)
+        np.subtract(0.0, self.judge_matrix, out=self.judge_matrix)
+        self.judge_matrix.flat[:: b_r + 1] += self.sizes
         self.mu, self.basis = np.linalg.eigh(self.judge_matrix)
         self.means = self.v0 / self.counts
-        self.delta = self.basis.T @ (self.totals - transposed @ self.means)
-        self.spread = self.scaled @ self.basis
+        self.delta = self.basis.T @ (self.totals - self.judge_sums(self.means))
         # the null vectors are the indicators of connected sets of judges, on
         # which the adjusted totals sum to zero: pin both at exactly zero
         # where eigh leaves rounding noise, which theta would scale up
@@ -298,6 +310,14 @@ class _JudgeSpectrum:
         self.rss_zero = self.q0 - float(self.v0 @ self.means)
         self.log_counts = float(np.log(self.counts).sum())
         self.equal_sizes = self.sizes.min() == self.sizes.max()
+
+    def poster_sums(self, judge_values: np.ndarray) -> np.ndarray:
+        """N @ judge_values: each poster's sum over its judges, in ascending order."""
+        return np.bincount(self.slot_posters, weights=judge_values[self.slot_judges], minlength=self.p)
+
+    def judge_sums(self, poster_values: np.ndarray) -> np.ndarray:
+        """N' @ poster_values: each judge's sum over its posters, in ascending order."""
+        return np.bincount(self.slot_judges, weights=poster_values[self.slot_posters], minlength=self.sizes.size)
 
     def gain(self, theta: float) -> np.ndarray:
         """g at theta; at theta = inf, 1/mu off the null eigenvalues and 0 on them."""
@@ -343,12 +363,25 @@ class _JudgeSpectrum:
             root = np.sqrt(1.0 / self.sizes if math.isinf(theta) else theta / (1.0 + theta * self.sizes))
             system = np.diag(1.0 / (1.0 + theta * self.sizes)) + root[:, None] * self.judge_matrix * root
             least = float(np.linalg.eigvalsh(system)[skip])
-        estimates = self.means - self.spread @ (gain * self.delta)
-        return estimates, 1.0 / self.counts + (self.spread * self.spread) @ gain, least
+        estimates = self.means - self.poster_sums(self.basis @ (gain * self.delta)) / self.counts
+        # (F o F) g a block of posters at a time: a row of F is the sum of the
+        # poster's r judges' rows of V, over r
+        spread_sq = np.empty(self.p)
+        step = max(1, self._BLOCK // self.basis.shape[1])
+        for members, table in self.groups:
+            for first in range(0, members.size, step):
+                block = table[first : first + step]
+                rows = self.basis.take(block[:, 0], axis=0)
+                for column in block.T[1:]:
+                    rows += self.basis.take(column, axis=0)
+                spread_sq[members[first : first + step]] = (np.square(rows, out=rows) @ gain) / block.shape[1] ** 2
+        return estimates, 1.0 / self.counts + spread_sq, least
 
     def inverse(self, theta: float, vector: np.ndarray) -> np.ndarray:
         """C(theta)^-1 @ vector, a generalized inverse at theta = inf."""
-        return vector / self.counts + self.spread @ (self.gain(theta) * (self.spread.T @ vector))
+        scaled = vector / self.counts
+        shrunk = self.basis @ (self.gain(theta) * (self.basis.T @ self.judge_sums(scaled)))
+        return scaled + self.poster_sums(shrunk) / self.counts
 
 
 def _checked_condition(smallest: float) -> float:
@@ -403,7 +436,7 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     limit theta -> infinity.  The fit's _JudgeSpectrum solves it at that
     limit; C has the null vector 1 on a connected design, and the
     spectral solution uses a generalized inverse G of C.  The weights w
-    below are one sparse product with the incidence, and on equal judge
+    below are one bincount over the incidence, and on equal judge
     sizes k the condition number is k/mu_min, read from the judge
     spectrum the solve already took.  The constant
     is then set so the judge effects sum to zero, which makes the
@@ -427,7 +460,7 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     # on centered data pmm = tau + (sum T/k - w'tau)/b, where w_i sums 1/k
     # over poster i's judges; its variance is sigma2 times the diagonal of
     # (I - 1w'/b) G (I - w1'/b) + sum(1/k)/b^2
-    w = spectrum.incidence @ inv_sizes
+    w = spectrum.poster_sums(inv_sizes)
     shift = (float(inv_sizes @ spectrum.totals) - float(w @ tau)) / b_r
     gw = spectrum.inverse(math.inf, w)
     variances = diagonal - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2

@@ -304,7 +304,7 @@ def fresh_run(commands):
 
 def test_design_commands_load_no_scipy(tmp_path):
     # a judge arrival (extend, then validate) and generate import numpy
-    # alone: scipy loads where the fits, the study and is_connected call it
+    # alone: scipy loads where the study and is_connected call it
     path = str(tmp_path / "design.csv")
     lines, codes, scipy_modules = fresh_run([
         GEN + ["--kind", "nb2", "--seed", "7", "--out", path],
@@ -316,22 +316,28 @@ def test_design_commands_load_no_scipy(tmp_path):
     assert scipy_modules == set()
 
 
-def test_score_loads_the_fit_layers_but_not_scipy_stats(tmp_path, capsys):
+def test_score_loads_no_scipy(tmp_path, capsys):
+    # both fits run on numpy alone, on a full table and on one with about
+    # 10 % of its cells dropped, whose judges score unequal numbers of posters
     path = str(tmp_path / "design.csv")
-    run(capsys, GEN + ["--kind", "nb2", "--seed", "7", "--out", path])
-    scores = str(tmp_path / "scores.csv")
+    shape = ["--posters", "20", "--block-size", "5", "--judges", "12"]
+    run(capsys, ["generate", *shape, "--kind", "nb2", "--seed", "7", "--out", path])
     design = read_design(path)
-    write_scores(scores, ScoreTable.from_design_matrix(design, np.random.default_rng(1).normal(70.0, 8.0, (30, 12))))
-    _, codes, scipy_modules = fresh_run([
-        ["score", "--design", path, "--scores", scores, "--model", model, "--out", str(tmp_path / f"{model}.csv")]
-        for model in ("random", "fixed")
-    ])
-    assert codes == [0, 0]
-    # the REML search is in-house: neither fit loads scipy.optimize, nor
-    # the scipy.linalg it would bring
-    assert "scipy.sparse" in scipy_modules
-    packages = {".".join(module.split(".")[:2]) for module in scipy_modules}
-    assert not {"scipy.optimize", "scipy.linalg", "scipy.stats"} & packages
+    full = ScoreTable.from_design_matrix(design, np.random.default_rng(1).normal(70.0, 8.0, (20, 12)))
+    keep = np.random.default_rng(7).random(full.n) >= 0.1
+    dropped = ScoreTable(full.judges[keep], full.posters[keep], full.scores[keep], t=full.t, b=full.b)
+    assert np.ptp(np.bincount(dropped.judges)) > 0
+    commands = []
+    for name, table in (("full", full), ("dropped", dropped)):
+        scores = str(tmp_path / f"{name}.csv")
+        write_scores(scores, table)
+        commands += [
+            ["score", "--design", path, "--scores", scores, "--model", model, "--out", str(tmp_path / f"{name}_{model}.csv")]
+            for model in ("random", "fixed")
+        ]
+    _, codes, scipy_modules = fresh_run(commands)
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == set()
 
 
 def test_report_loads_no_scipy_stats(tmp_path):

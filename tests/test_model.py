@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -530,9 +531,13 @@ def test_spectral_solve_is_exact_at_the_upper_ratio_bound(case):
     judges_of = [
         np.sort(np.searchsorted(present, table.judges[table.posters == poster])) for poster in spectrum.reviewed
     ]
-    # the sparse incidence lists the same judges, row by row in ascending order
-    rows = np.split(spectrum.incidence.indices, spectrum.incidence.indptr[1:-1])
+    # the slots and the replication groups list the same judges, poster by
+    # poster in ascending order
+    rows = np.split(spectrum.slot_judges, np.cumsum(spectrum.counts.astype(int))[:-1])
     assert len(rows) == len(judges_of) and all(np.array_equal(*pair) for pair in zip(rows, judges_of))
+    assert sorted(poster for members, _ in spectrum.groups for poster in members) == list(range(spectrum.p))
+    for members, table in spectrum.groups:
+        assert all(np.array_equal(judges_of[poster], row) for poster, row in zip(members, table))
     matrix = [
         [
             int(i == j) * Fraction(spectrum.counts[i])
@@ -571,6 +576,92 @@ def test_every_table_and_both_fits_share_one_judge_spectrum(monkeypatch):
         reml_criterion(table, 0.5)
     assert len(calls) == 6
     assert np.unique(calls[-1].sizes).size > 1
+
+
+def kernel_table(case, seed=0):
+    """A score table for the judge-spectrum kernel checks: "<kind> t=<t>[ dropped]" or a named shape."""
+    rng = np.random.default_rng(seed)
+    if case == "complete":
+        # every judge scores every poster: each poster's replication is b
+        t, b = 7, 4
+        judges, posters = np.repeat(np.arange(b), t), np.tile(np.arange(t), b)
+        return ScoreTable(judges, posters, rng.normal(70.0, 8.0, t * b), t=t, b=b)
+    if case == "replication 1":
+        _, table = sample_table(seed)
+        keep = (table.posters != 3) | (table.judges == table.judges[table.posters == 3][0])
+        table = ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=table.t, b=table.b)
+        assert np.bincount(table.posters)[3] == 1
+        return table
+    kind, size, *dropped = case.split()
+    t, k, b = {"t=12": (12, 3, 8), "t=40": (40, 4, 20), "t=200": (200, 5, 100)}[size]
+    _, table = sample_table(seed, t=t, k=k, b=b, kind=kind)
+    keep = rng.random(table.n) >= (0.1 if dropped else 0.0)
+    return ScoreTable(table.judges[keep], table.posters[keep], table.scores[keep], t=t, b=b)
+
+
+KERNEL_CASES = [
+    f"{kind} {size}{dropped}"
+    for kind in ("nb1", "nb2", "random")
+    for size in ("t=12", "t=40", "t=200")
+    for dropped in ("", " dropped")
+] + ["complete", "replication 1"]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_judge_spectrum_kernels_match_the_dense_incidence(case):
+    # every product the spectrum takes from its slot lists and replication
+    # groups, against the same product with the dense p-by-b_r incidence
+    # and the dense spread F = D^-1 N V on the spectrum's own eigenvectors;
+    # diag(C^-1) also in blocks of 5 posters, which splits every group
+    table = kernel_table(case)
+    spectrum = _JudgeSpectrum(table)
+    reviewed, poster_col = np.unique(table.posters, return_inverse=True)
+    present, judge_col = np.unique(table.judges, return_inverse=True)
+    incidence = np.zeros((reviewed.size, present.size))
+    incidence[poster_col, judge_col] = 1.0
+    replication, sizes = incidence.sum(axis=1), incidence.sum(axis=0)
+    spread = (incidence / replication[:, None]) @ spectrum.basis
+
+    def close(ours, theirs):
+        assert ours.shape == theirs.shape
+        assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+    close(spectrum.judge_matrix, np.diag(sizes) - incidence.T @ (incidence / replication[:, None]))
+    close(spectrum.judge_sums(spectrum.means), incidence.T @ spectrum.means)
+    close(spectrum.poster_sums(1.0 / spectrum.sizes), incidence @ (1.0 / sizes))
+    connected = spectrum.null.sum() == 1
+    assert connected or "dropped" in case
+    for theta in (0.0, 0.7, 1e6) + ((math.inf,) if connected else ()):
+        gain = spectrum.gain(theta)
+        for block in (_JudgeSpectrum._BLOCK, 5 * present.size):
+            spectrum._BLOCK = block
+            estimates, diagonal, _ = spectrum.solution(theta)
+            close(estimates, spectrum.means - spread @ (gain * spectrum.delta))
+            close(diagonal, 1.0 / replication + (spread * spread) @ gain)
+    if connected:
+        vector = np.random.default_rng(1).normal(size=spectrum.p)
+        gain = spectrum.gain(math.inf)
+        close(spectrum.inverse(math.inf, vector), vector / replication + spread @ (gain * (spread.T @ vector)))
+
+
+def test_no_fit_allocates_a_poster_by_judge_array():
+    # about 1750 reviewed posters and 400 judges: the incidence or the
+    # spread F, dense, would take 5.6 MB, over four times the judge matrix;
+    # a fit holds M, its eigenvectors and row blocks of F, well below that
+    t, k, b = 2000, 10, 400
+    rng = np.random.default_rng(5)
+    blocks = [Block(judge, tuple(sorted(rng.choice(t, k, replace=False).tolist())), False) for judge in range(b)]
+    design = Design.from_blocks(DesignConfig(t=t, k=k, b=b), blocks)
+    table = ScoreTable.from_design_matrix(design, rng.normal(70.0, 8.0, (t, b)))
+    dense = np.unique(table.posters).size * b * 8
+    for fitter in (fit_fixed, fit_random):
+        tracemalloc.start()
+        try:
+            fitter(design, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense, (fitter.__name__, peak, dense)
 
 
 @pytest.mark.parametrize("fitter,tol", [(fit_fixed, 1e-9), (fit_random, 1e-6)])
@@ -891,13 +982,15 @@ def test_fit_summary_csv_round_trip(tmp_path):
 # posters.  The fit digests were re-recorded when both fits moved to the
 # judge spectrum, which changes their last digits, and the random ones
 # again when the judge matrix and the spread came from a sparse
-# incidence, whose sums round differently; the scores digest is the one
-# recorded before the writers shared one CSV codec
+# incidence, whose sums round differently, and both fit files again when
+# diag(C^-1) came from V's rows gathered per poster, which moves five
+# se cells in their last digit; the scores digest is the one recorded
+# before the writers shared one CSV codec
 FIT_GOLDEN = {
     "scores.csv": "063ecbcf869c4d588c22b530d8cc89b77c4d439f81252f1bcd1791ef4e037c00",
-    "fixed.csv": "f178e2f1584742a53751250aba1b3c1b3a7bb27d11857e184452902a0bc304d2",
+    "fixed.csv": "d3067dee8903d096c9360498224a6d101010fc05f98baf98f3d29a2f8fa272dd",
     "fixed.summary.csv": "7ccdb2c04538ebefa3fcc6875c074516776e752b4c74b804292caf15d3eebaf3",
-    "random.csv": "4ec3ad75646db33f2d793342808b21ff469189ca0827fd3a62b9f5a5a0454a83",
+    "random.csv": "2ab1beae5c0d329dc127c2b8aa6e59d1fdc0b4421b2d0b7da493150dbad23745",
     "random.summary.csv": "c5a819c68b271c439b3c02302a5749cb1d9f0c09f440d0350088040c13c71cc5",
 }
 

@@ -374,12 +374,15 @@ def test_histogram_bins_a_series_that_differs_only_by_rounding(tmp_path):
 # sha256 of each study file at the shape below, re-recorded when the
 # random fit's criterion dropped log det H against the same term of
 # log det C, and again when the judge matrix came from a sparse
-# incidence; each moves theta in its last digits.  A change to any byte
-# of these formats, or to the summary arithmetic, shows up here
+# incidence; each moves theta in its last digits.  Recorded again when
+# the estimates and diag(C^-1) came from V's rows gathered per poster
+# instead of a dense spread, which moves them, not theta, in their last
+# digit.  A change to any byte of these formats, or to the summary
+# arithmetic, shows up here
 STUDY_GOLDEN = {
-    "metrics.csv": "3d852dd587e39be90cc6d94a2e0f0e9d16acb09bdf924cc89b5d0361522632d8",
-    "summary.csv": "f785ea707f8c87bc0be2fe61682ee934699a960c1746ac4b93866e5db28d93d4",
-    "hist.csv": "8b7da24b89bd2e047628146d2f9d9031af7f3b7ee7aa0c3e8f63028bbfe43758",
+    "metrics.csv": "040b64292ef85477efada584c8fa07ed11b0c9ac1f7180436b879d0cade3c27f",
+    "summary.csv": "04f6e7512214bb32a17d5c551f6e7c92ab0bb920a4d28383b96a92e6dc8135f7",
+    "hist.csv": "a83233a92918e9769932a3d159c381f5e7525bc2a3c33ef605b40a95da856a18",
 }
 
 
