@@ -4,118 +4,18 @@ Builds judge-to-poster assignments that keep per-poster review counts
 within one of each other, avoid repeated poster pairs, and stay
 connected at every prefix; fits fixed- and random-judge score models to
 the resulting reviews; and compares design kinds in a paired Monte
-Carlo study.
+Carlo study.  Every public name of the four modules is re-exported here.
 """
 
+from . import design, generate, model, simulate
 from ._util import FileFormatError
-from .design import (
-    Block,
-    Design,
-    DesignConfig,
-    ValidationReport,
-    is_connected,
-    lambda_of,
-    max_faculty_reviews,
-    min_connect_blocks,
-    read_design,
-    required_blocks,
-    validate,
-    write_design,
-)
-from .generate import (
-    GenerationTrace,
-    GeneratorKind,
-    NB1InfeasibleBudget,
-    extend,
-    generate,
-)
-from .model import (
-    DisconnectedDesign,
-    FitResult,
-    ScoreTable,
-    SingularFit,
-    fit_fixed,
-    fit_random,
-    rank_posters,
-    read_scores,
-    reml_criterion,
-    write_fit,
-    write_fit_summary,
-    write_scores,
-)
-from .simulate import (
-    METRICS,
-    PRESETS,
-    DesignMetrics,
-    DifferenceSummary,
-    IterationResult,
-    MetricSummary,
-    SimParams,
-    SimStudyReport,
-    aggregate_results,
-    present_kinds,
-    read_metrics,
-    run_iteration,
-    run_iterations,
-    run_study,
-    summarize_differences,
-    synthesize_scores,
-    write_histogram,
-    write_metrics,
-    write_summary,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FileFormatError",
-    "Block",
-    "Design",
-    "DesignConfig",
-    "ValidationReport",
-    "is_connected",
-    "lambda_of",
-    "max_faculty_reviews",
-    "min_connect_blocks",
-    "read_design",
-    "required_blocks",
-    "validate",
-    "write_design",
-    "GenerationTrace",
-    "GeneratorKind",
-    "NB1InfeasibleBudget",
-    "extend",
-    "generate",
-    "DisconnectedDesign",
-    "FitResult",
-    "ScoreTable",
-    "SingularFit",
-    "fit_fixed",
-    "fit_random",
-    "rank_posters",
-    "read_scores",
-    "reml_criterion",
-    "write_fit",
-    "write_fit_summary",
-    "write_scores",
-    "METRICS",
-    "PRESETS",
-    "DesignMetrics",
-    "DifferenceSummary",
-    "IterationResult",
-    "MetricSummary",
-    "SimParams",
-    "SimStudyReport",
-    "aggregate_results",
-    "present_kinds",
-    "read_metrics",
-    "run_iteration",
-    "run_iterations",
-    "run_study",
-    "summarize_differences",
-    "synthesize_scores",
-    "write_histogram",
-    "write_metrics",
-    "write_summary",
-]
+__all__ = ["__version__", "FileFormatError", *design.__all__, *generate.__all__, *model.__all__, *simulate.__all__]
+
+# after __all__ has read the modules: this rebinds generate to the function
+from .design import *  # noqa: E402,F403
+from .generate import *  # noqa: E402,F403
+from .model import *  # noqa: E402,F403
+from .simulate import *  # noqa: E402,F403

@@ -7,9 +7,10 @@ checks, the empty-file error, and a UTF-8 byte-order mark skipped on
 reading and never written.  A column's type (int, float, bool or str)
 decides how its cells are spelled and parsed: write_csv and format_cell
 write a bool as true/false, a float by format_float, NaN and None as the
-empty cell, and int and str as given.  The parse_* helpers turn one cell into
-a value (an integer must fit int64) or a FileFormatError naming its row and column;
-parse_columns turns a table's data rows into one array per column by the same rule.
+empty cell, and int and str as given.  parse_cell turns one cell into a
+value (an integer must fit int64) or a FileFormatError naming its row
+and column; parse_columns turns a table's data rows into one array per
+column by the same conversion and dtype.
 """
 
 from __future__ import annotations
@@ -102,23 +103,6 @@ def _format_float_cell(value: float | None) -> str:
     return "" if value is None or value != value else format_float(value)
 
 
-def parse_float(text: str, path: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FileFormatError(path, row, f"column {column!r} is not a number: {text!r}") from None
-
-
-def parse_int(text: str, path: str, row: int, column: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise FileFormatError(path, row, f"column {column!r} is not an integer: {text!r}") from None
-    if not -(2**63) <= value < 2**63:
-        raise FileFormatError(path, row, f"column {column!r} does not fit a 64-bit integer: {text!r}")
-    return value
-
-
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 _BOOL_CELLS = {True: "true", False: "false"}
 
@@ -127,27 +111,34 @@ def _to_bool(text: str) -> bool:
     return _BOOLS[text.strip().lower()]
 
 
-def parse_bool(text: str, path: str, row: int, column: str) -> bool:
-    try:
-        return _to_bool(text)
-    except KeyError:
-        raise FileFormatError(path, row, f"column {column!r} is not a boolean: {text!r}") from None
-
-
-def _parse_text(text: str, path: str, row: int, column: str) -> str:
-    return text
-
-
-# per column type: the conversion of one cell, the column's dtype, the
-# parser naming a faulty cell, and the spelling of a written value (None:
-# csv's own, which writes str(value) and None as the empty cell)
+# per column type: the conversion of one cell, the column's dtype, what a
+# faulty cell is not, and the spelling of a written value (None: csv's
+# own, which writes str(value) and None as the empty cell)
 _COLUMN_TYPES = {
-    int: (int, np.int64, parse_int, None),
-    float: (float, np.float64, parse_float, _format_float_cell),
-    bool: (_to_bool, np.bool_, parse_bool, _BOOL_CELLS.__getitem__),
+    int: (int, np.int64, "an integer", None),
+    float: (float, np.float64, "a number", _format_float_cell),
+    bool: (_to_bool, np.bool_, "a boolean", _BOOL_CELLS.__getitem__),
     # any text is a valid cell, kept as the str it was read as
-    str: (str, object, _parse_text, None),
+    str: (str, object, None, None),
 }
+
+
+def parse_cell(text: str, kind: type, path: str, row: int, column: str) -> object:
+    """One cell of a column of type kind, converted as parse_columns converts it.
+
+    The cell goes through its type's conversion and then the column's
+    dtype, so an integer must fit int64; a cell either rule refuses
+    raises a FileFormatError naming its row and column.
+    """
+    convert, dtype, noun, _ = _COLUMN_TYPES[kind]
+    try:
+        value = convert(text)
+        np.array(value, dtype=dtype)
+    except (KeyError, ValueError):
+        raise FileFormatError(path, row, f"column {column!r} is not {noun}: {text!r}") from None
+    except OverflowError:
+        raise FileFormatError(path, row, f"column {column!r} does not fit a 64-bit integer: {text!r}") from None
+    return value
 
 
 def format_cell(value: object, kind: type) -> str:
@@ -161,14 +152,14 @@ def parse_columns(
 ) -> list[np.ndarray]:
     """read_csv's data rows as one array per column, column i of type types[i]: int, float, bool or str.
 
-    Each column is converted in one pass, its cells mapped through int,
-    float, the parse_bool rule or str and then one np.array, whose
-    OverflowError is the int64 bound of parse_int.  So a table is
-    accepted, with the same values, exactly when every parse_* call on
-    its cells would be.  When a cell or a row's width is at fault, the
-    rows read so far are parsed again one cell at a time, so the fault
-    reported is the first in row, then column order, as a per-row loop
-    over parse_* would report it.
+    Each column is converted in one pass, its cells mapped through their
+    type's conversion and then one np.array of the column's dtype, the
+    two steps parse_cell takes for one cell.  So a table is accepted,
+    with the same values, exactly when parse_cell accepts each of its
+    cells.  When a cell or a row's width is at fault, the rows read so
+    far are parsed again one cell at a time, so the fault reported is
+    the first in row, then column order, as a per-row loop over
+    parse_cell would report it.
     """
     kinds = [_COLUMN_TYPES[kind] for kind in types]
     table: list[tuple[int, list[str]]] = []
@@ -182,6 +173,6 @@ def parse_columns(
     # read_csv's width fault is a FileFormatError, and so a ValueError
     except (KeyError, ValueError, OverflowError):
         for number, row in table:
-            for (_, _, parse, _), cell, name in zip(kinds, row, header):
-                parse(cell, path, number, name)
+            for kind, cell, name in zip(types, row, header):
+                parse_cell(cell, kind, path, number, name)
         raise

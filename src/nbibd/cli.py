@@ -116,14 +116,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "simulate"):
         sim = subparsers.add_parser("simulate", help="run the design comparison study")
         sim.add_argument("--preset", choices=sorted(PRESETS), default="paper")
-        sim.add_argument("--iterations", type=int, default=None)
-        sim.add_argument("--seed", type=int, default=None)
-        sim.add_argument("--posters", type=int, default=None)
-        sim.add_argument("--judges", type=int, default=None)
-        sim.add_argument("--awards", type=int, default=None)
-        sim.add_argument("--sd-poster", type=float, default=None)
-        sim.add_argument("--sd-judge", type=float, default=None)
-        sim.add_argument("--sd-error", type=float, default=None)
+        # each override's dest is the SimParams field it sets
+        sim.add_argument("--iterations", type=int)
+        sim.add_argument("--seed", type=int)
+        sim.add_argument("--posters", type=int, dest="t", metavar="POSTERS")
+        sim.add_argument("--judges", type=int, dest="b", metavar="JUDGES")
+        sim.add_argument("--awards", type=int)
+        sim.add_argument("--sd-poster", type=float)
+        sim.add_argument("--sd-judge", type=float)
+        sim.add_argument("--sd-error", type=float)
         sim.add_argument("--out", required=True, help="metrics CSV path, one row per (iteration, design)")
 
     if command in (None, "report"):
@@ -215,17 +216,8 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     params = PRESETS[args.preset]
-    overrides = {
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "t": args.posters,
-        "b": args.judges,
-        "awards": args.awards,
-        "sd_poster": args.sd_poster,
-        "sd_judge": args.sd_judge,
-        "sd_error": args.sd_error,
-    }
-    overrides = {name: value for name, value in overrides.items() if value is not None}
+    fields = (field.name for field in dataclasses.fields(params))
+    overrides = {name: getattr(args, name) for name in fields if getattr(args, name, None) is not None}
     params = dataclasses.replace(params, **overrides)
     # the metrics file and the failure count need no summary tables
     results = run_iterations(params)

@@ -42,7 +42,6 @@ __all__ = [
     "run_iteration",
     "run_iterations",
     "run_study",
-    "summarize_differences",
     "write_metrics",
     "read_metrics",
     "present_kinds",
@@ -333,19 +332,6 @@ def _difference_summary(diffs: np.ndarray) -> DifferenceSummary:
     )
 
 
-def _paired_diffs(
-    results: Sequence[IterationResult], first: GeneratorKind, second: GeneratorKind, metric: str
-) -> np.ndarray:
-    return np.array(
-        [
-            result.metrics[first].value(metric) - result.metrics[second].value(metric)
-            for result in results
-            if first in result.metrics and second in result.metrics
-        ],
-        dtype=np.float64,
-    )
-
-
 def _series(
     results: Sequence[IterationResult], designs: Sequence[GeneratorKind]
 ) -> Iterator[tuple[tuple[GeneratorKind, ...], str, np.ndarray]]:
@@ -364,8 +350,10 @@ def _series(
             yield (kind,), metric, np.array(values, dtype=np.float64)
     for position, first in enumerate(kinds):
         for second in kinds[position + 1 :]:
+            paired = [r for r in ordered if first in r.metrics and second in r.metrics]
             for metric in METRICS:
-                yield (first, second), metric, _paired_diffs(ordered, first, second, metric)
+                diffs = [r.metrics[first].value(metric) - r.metrics[second].value(metric) for r in paired]
+                yield (first, second), metric, np.array(diffs, dtype=np.float64)
 
 
 def aggregate_results(results: Sequence[IterationResult], designs: Sequence[GeneratorKind]) -> dict:
@@ -396,23 +384,6 @@ def aggregate_results(results: Sequence[IterationResult], designs: Sequence[Gene
         },
         "failure_counts": {kind: sum(1 for r in results if kind not in r.metrics) for kind in kinds},
     }
-
-
-def summarize_differences(
-    report: SimStudyReport, pair: Sequence[GeneratorKind | str], metric: str
-) -> DifferenceSummary:
-    """Paired difference summary for any ordered pair, including self-pairs."""
-    try:
-        first, second = (GeneratorKind(kind) for kind in pair)
-    except ValueError as error:
-        raise ValueError(f"unknown design kind in pair: {error}") from None
-    for kind in (first, second):
-        if kind not in report.params.designs:
-            raise ValueError(f"design kind {kind.value!r} is not part of this study")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    diffs = _paired_diffs(report.results, first, second, metric)
-    return _difference_summary(diffs)
 
 
 _METRICS_HEADER = ["iteration", "design", *METRICS, "disconnected"]

@@ -6,22 +6,21 @@ by Design, Design.from_blocks and read_design, must match in the row
 they name and in the message.
 """
 
-from nbibd._util import parse_bool, parse_int, read_csv
+from nbibd._util import parse_cell, read_csv
 
 
 def parse_rows(path):
     """The (judge_index, faculty, posters) triples of a design file, parsed one cell at a time.
 
-    parse_int and parse_bool go over the cells in row, then column
-    order, so the FileFormatError raised is the first faulty cell or
-    row width.
+    parse_cell goes over the cells in row, then column order, so the
+    FileFormatError raised is the first faulty cell or row width.
     """
     _, rows = read_csv(path)
     return [
         (
-            parse_int(row[0], path, number, "judge_index"),
-            parse_bool(row[1], path, number, "faculty"),
-            [parse_int(cell, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])],
+            parse_cell(row[0], int, path, number, "judge_index"),
+            parse_cell(row[1], bool, path, number, "faculty"),
+            [parse_cell(cell, int, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])],
         )
         for number, row in rows
     ]

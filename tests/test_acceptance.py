@@ -29,6 +29,7 @@ from nbibd import (
 )
 from nbibd.cli import main
 from nbibd.design import Block, Design
+from gls_oracle import dense_gls, dummies
 from tally_oracle import tallies_match_oracle
 
 NB1, NB2, RANDOM = GeneratorKind.NB1, GeneratorKind.NB2, GeneratorKind.RANDOM
@@ -91,12 +92,7 @@ def test_criterion_2_design_invariants(capsys, design_suite):
 
 
 def _oracle_pieces(table):
-    n = table.n
-    reviewed = np.unique(table.posters)
-    x = np.zeros((n, reviewed.size))
-    x[np.arange(n), np.searchsorted(reviewed, table.posters)] = 1.0
-    z = np.zeros((n, table.b))
-    z[np.arange(n), table.judges] = 1.0
+    reviewed, x, z = dummies(table)
     eigenvalues, u = np.linalg.eigh(z @ z.T)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     return reviewed, eigenvalues, u.T @ x, u.T @ table.scores
@@ -139,18 +135,6 @@ def _oracle_best(table, points=20001):
     return float(np.expm1(fine_u[at])), float(fine[at])
 
 
-def _dense_gls(table, theta):
-    n = table.n
-    reviewed = np.unique(table.posters)
-    x = np.zeros((n, reviewed.size))
-    x[np.arange(n), np.searchsorted(reviewed, table.posters)] = 1.0
-    z = np.zeros((n, table.b))
-    z[np.arange(n), table.judges] = 1.0
-    h_inv = np.linalg.inv(np.eye(n) + theta * (z @ z.T))
-    beta = np.linalg.solve(x.T @ h_inv @ x, x.T @ h_inv @ table.scores)
-    return reviewed, beta
-
-
 def test_criterion_3_oracle_equivalence(capsys, design_suite):
     designs, _ = design_suite
     tally_misses = 0
@@ -180,7 +164,7 @@ def test_criterion_3_oracle_equivalence(capsys, design_suite):
         fit = fit_random(design, table)
         produced = -2.0 * reml_criterion(table, fit.var_judge / fit.var_error)
         theta_star, best = _oracle_best(table)
-        reviewed, beta = _dense_gls(table, theta_star)
+        reviewed, beta, _, _ = dense_gls(table, theta_star)
         worst_criterion = max(worst_criterion, abs(produced - best))
         worst_pmm = max(worst_pmm, float(np.max(np.abs(fit.pmm[reviewed] - beta))))
 

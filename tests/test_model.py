@@ -32,6 +32,7 @@ from nbibd import (
 )
 from nbibd.design import Block, Design
 from nbibd.model import _bounded_brent, _JudgeSpectrum
+from gls_oracle import dense_gls
 from golden_stack import stack_note
 
 
@@ -76,44 +77,6 @@ def dense_fixed_oracle(table):
         pmm[poster] = float(contrast @ beta)
         se[poster] = math.sqrt(sigma2 * float(contrast @ pinv @ contrast))
     return pmm, se, sigma2, dof
-
-
-def dense_reml_neg2(table, theta):
-    """Restricted -2 log likelihood evaluated with explicit n-by-n matrices."""
-    n = table.n
-    x = np.zeros((n, 0))
-    reviewed = np.unique(table.posters)
-    x = np.zeros((n, reviewed.size))
-    x[np.arange(n), np.searchsorted(reviewed, table.posters)] = 1.0
-    z = np.zeros((n, table.b))
-    z[np.arange(n), table.judges] = 1.0
-    h = np.eye(n) + theta * (z @ z.T)
-    h_inv = np.linalg.inv(h)
-    information = x.T @ h_inv @ x
-    beta = np.linalg.solve(information, x.T @ h_inv @ table.scores)
-    residuals = table.scores - x @ beta
-    dof = n - reviewed.size
-    sigma2 = float(residuals @ h_inv @ residuals) / dof
-    _, logdet_h = np.linalg.slogdet(h)
-    _, logdet_i = np.linalg.slogdet(information)
-    return dof * (math.log(2.0 * math.pi) + 1.0) + dof * math.log(sigma2) + logdet_h + logdet_i
-
-
-def dense_gls(table, theta):
-    n = table.n
-    reviewed = np.unique(table.posters)
-    x = np.zeros((n, reviewed.size))
-    x[np.arange(n), np.searchsorted(reviewed, table.posters)] = 1.0
-    z = np.zeros((n, table.b))
-    z[np.arange(n), table.judges] = 1.0
-    h_inv = np.linalg.inv(np.eye(n) + theta * (z @ z.T))
-    information = x.T @ h_inv @ x
-    beta = np.linalg.solve(information, x.T @ h_inv @ table.scores)
-    dof = n - reviewed.size
-    residuals = table.scores - x @ beta
-    sigma2 = float(residuals @ h_inv @ residuals) / dof
-    se = np.sqrt(sigma2 * np.diag(np.linalg.inv(information)))
-    return reviewed, beta, se
 
 
 def two_clique_case(seed=3):
@@ -223,7 +186,7 @@ def test_disconnection_is_reported_before_missing_degrees_of_freedom():
 def test_profiled_criterion_matches_dense_matrix_evaluation():
     design, table = sample_table(5)
     for theta in (0.0, 0.1, 0.7, 3.0, 20.0):
-        dense = -0.5 * dense_reml_neg2(table, theta)
+        dense = -0.5 * dense_gls(table, theta).reml_neg2
         assert reml_criterion(table, theta) == pytest.approx(dense, abs=1e-9)
     # theta = inf is the fixed fit's limit, not a variance ratio, and NaN
     # is no ratio at all: both are refused like a negative one
@@ -244,7 +207,7 @@ def test_random_estimates_match_dense_gls_at_the_estimated_ratio():
     design, table = sample_table(13)
     fit = fit_random(design, table)
     theta_hat = fit.var_judge / fit.var_error
-    reviewed, beta, se = dense_gls(table, theta_hat)
+    reviewed, beta, se, _ = dense_gls(table, theta_hat)
     assert np.max(np.abs(fit.pmm[reviewed] - beta)) < 1e-8
     assert np.max(np.abs(fit.se[reviewed] - se)) < 1e-8
     assert fit.grand_mean == pytest.approx(float(beta.mean()), abs=1e-8)

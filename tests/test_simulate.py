@@ -18,13 +18,11 @@ from nbibd import (
     IterationResult,
     NB1InfeasibleBudget,
     SimParams,
-    SimStudyReport,
     aggregate_results,
     present_kinds,
     read_metrics,
     run_iteration,
     run_study,
-    summarize_differences,
     synthesize_scores,
     write_histogram,
     write_metrics,
@@ -147,15 +145,15 @@ def test_worker_count_env_override(monkeypatch):
 
 
 def test_difference_summary_sign_and_interval():
-    params = small_params(iterations=2, seed=0)
     results = (
         IterationResult(0, {NB1: metrics_row(win=0.6), NB2: metrics_row(win=0.5)}),
         IterationResult(1, {NB1: metrics_row(win=0.7), NB2: metrics_row(win=0.9)}),
     )
-    report = SimStudyReport(
-        params=params, results=results, **aggregate_results(results, params.designs)
-    )
-    summary = summarize_differences(report, ("nb1", "nb2"), "win_prop")
+    summaries = aggregate_results(results, (RANDOM, NB2, NB1))["difference_summary"]
+    # every pair of the study's kinds, first minus second, in canonical order
+    pairs = [(NB1, NB2), (NB1, RANDOM), (NB2, RANDOM)]
+    assert list(summaries) == [(*pair, metric) for pair in pairs for metric in METRICS]
+    summary = summaries[(NB1, NB2, "win_prop")]
     assert summary.n == 2
     assert summary.mean == pytest.approx(-0.05)
     assert summary.sd == pytest.approx(np.std([0.1, -0.2], ddof=1))
@@ -165,24 +163,19 @@ def test_difference_summary_sign_and_interval():
     assert summary.ci_low == pytest.approx(summary.mean - half, rel=1e-9)
     assert summary.ci_high == pytest.approx(summary.mean + half, rel=1e-9)
 
-    same = summarize_differences(report, (NB1, NB1), "win_prop")
+    # both kinds score mean_se 3.0 in each iteration
+    same = summaries[(NB1, NB2, "mean_se")]
     assert same.mean == 0.0 and same.ci_low == 0.0 and same.ci_high == 0.0
 
-    empty = summarize_differences(report, ("nb1", "random"), "win_prop")
+    # random never scores, so nb1 and random are never paired
+    empty = summaries[(NB1, RANDOM, "win_prop")]
     assert empty.n == 0
     assert math.isnan(empty.mean) and math.isnan(empty.ci_low)
 
     with pytest.raises(ValueError):
-        summarize_differences(report, ("nb1", "nb2"), "accuracy")
-    with pytest.raises(ValueError):
-        summarize_differences(report, ("nb1", "balanced"), "win_prop")
-    narrow = SimStudyReport(
-        params=small_params(iterations=2, seed=0, designs=("nb1", "nb2")),
-        results=results,
-        **aggregate_results(results, (NB1, NB2)),
-    )
-    with pytest.raises(ValueError):
-        summarize_differences(narrow, ("nb1", "random"), "win_prop")
+        aggregate_results(results, (NB1, "balanced"))
+    narrow = aggregate_results(results, (NB1, NB2))["difference_summary"]
+    assert list(narrow) == [(NB1, NB2, metric) for metric in METRICS]
 
 
 def test_params_reject_nb1_shapes_counting_rules_out():

@@ -1,5 +1,7 @@
-"""The shared CSV codec: file modes of what it writes, cell spellings, byte-order marks and failed writes."""
+"""The shared CSV codec: file modes of what it writes, cell spellings and parsing, byte-order marks and failed
+writes; and the package's public names."""
 
+import importlib
 import math
 import os
 import stat
@@ -7,8 +9,10 @@ import stat
 import numpy as np
 import pytest
 
+import nbibd
 from nbibd import (
     DesignConfig,
+    FileFormatError,
     ScoreTable,
     generate,
     read_design,
@@ -18,7 +22,7 @@ from nbibd import (
     write_metrics,
     write_scores,
 )
-from nbibd._util import format_cell, format_float, parse_columns, read_csv, write_csv
+from nbibd._util import format_cell, format_float, parse_cell, parse_columns, read_csv, write_csv
 from nbibd.simulate import DesignMetrics, IterationResult
 
 
@@ -115,3 +119,67 @@ def test_a_failing_write_leaves_the_old_file_and_no_temp_file(tmp_path):
         write_csv(str(path), ["a", "b"], [int, int], [cells(), [6, 7]])
     assert path.read_bytes() == before
     assert sorted(entry.name for entry in tmp_path.iterdir()) == ["table.csv"]
+
+
+CELLS = [
+    " 7 ",
+    "+7",
+    "1_000",
+    "9223372036854775807",
+    "9223372036854775808",
+    "-9223372036854775809",
+    "7.0",
+    "",
+    "nan",
+    "1e400",
+    "TRUE",
+    " 0 ",
+    "yes",
+]
+
+
+@pytest.mark.parametrize("kind", [int, float, bool, str], ids=lambda kind: kind.__name__)
+def test_a_column_takes_a_cell_exactly_as_parse_cell_does(kind):
+    for text in CELLS:
+        rows = iter([(2, [text])])
+        try:
+            expected = parse_cell(text, kind, "table.csv", 2, "c")
+        except FileFormatError as error:
+            with pytest.raises(FileFormatError) as raised:
+                parse_columns("table.csv", ["c"], rows, [kind])
+            assert str(raised.value) == str(error)
+        else:
+            (column,) = parse_columns("table.csv", ["c"], rows, [kind])
+            (value,) = column.tolist()
+            # repr, so a NaN cell matches itself
+            assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+def test_parse_cell_names_the_row_the_column_and_the_rule_a_cell_breaks():
+    faults = [
+        ("7.0", int, "is not an integer: '7.0'"),
+        ("9223372036854775808", int, "does not fit a 64-bit integer: '9223372036854775808'"),
+        ("-9223372036854775809", int, "does not fit a 64-bit integer: '-9223372036854775809'"),
+        ("", float, "is not a number: ''"),
+        ("yes", bool, "is not a boolean: 'yes'"),
+    ]
+    for text, kind, message in faults:
+        with pytest.raises(FileFormatError) as raised:
+            parse_cell(text, kind, "table.csv", 5, "c")
+        assert str(raised.value) == f"table.csv:row 5: column 'c' {message}"
+    assert parse_cell("9223372036854775807", int, "table.csv", 5, "c") == 2**63 - 1
+    assert parse_cell(" 0 ", bool, "table.csv", 5, "c") is False
+    assert parse_cell("1e400", float, "table.csv", 5, "c") == math.inf
+    assert parse_cell("", str, "table.csv", 5, "c") == ""
+
+
+def test_the_package_re_exports_each_public_name_of_its_modules_once():
+    modules = [importlib.import_module(f"nbibd.{name}") for name in ("design", "generate", "model", "simulate")]
+    names = nbibd.__all__
+    assert len(set(names)) == len(names)
+    assert names == ["__version__", "FileFormatError", *(name for module in modules for name in module.__all__)]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(nbibd, name) is getattr(module, name), name
+    assert nbibd.FileFormatError is importlib.import_module("nbibd._util").FileFormatError
+    assert not hasattr(nbibd, "summarize_differences") and not hasattr(modules[3], "summarize_differences")
