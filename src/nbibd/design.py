@@ -2,9 +2,9 @@
 
 A design assigns each judge (a block) a fixed number of distinct posters
 (treatments).  This module holds the core types, the exact feasibility
-arithmetic for fully balanced designs, and the validators shared by the
-generators and the command line tools: replication balance, pair
-concurrence, coverage, and connectivity of every generation prefix.
+arithmetic for fully balanced designs, and the validators: replication
+balance, pair concurrence, coverage, and connectivity of every generation
+prefix.  The generators call no validator; they share Design's block rule.
 
 A design is its read-only (b, k) array of poster ids, row j being judge
 j's block; block j is a faculty block when j < config.faculty_blocks.
@@ -109,6 +109,14 @@ def max_faculty_reviews(t: int, k: int) -> int:
 _MAX_POSTERS = 2**63 - 1
 
 
+def _check_integers(config: object, names: Iterable[str]) -> None:
+    """Reject the first named field that is not an int or a numpy integer; a bool is not a count."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DesignConfig:
     """Problem dimensions and generation parameters.
@@ -128,6 +136,8 @@ class DesignConfig:
     faculty_count: int | None = None
 
     def __post_init__(self) -> None:
+        optional = () if self.faculty_count is None else ("faculty_count",)
+        _check_integers(self, ("t", "k", "b", "seed", "max_attempts", *optional))
         if self.t < 2:
             raise ValueError(f"need at least 2 posters, got t={self.t}")
         if self.t > _MAX_POSTERS:

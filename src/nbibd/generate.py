@@ -55,12 +55,11 @@ class GenerationTrace:
 
     restarts counts full from-scratch restarts (always 0 for nb2 and
     random); rejected_blocks counts candidate blocks discarded by the
-    pair-concurrence check; seed_used echoes the stream seed.
+    pair-concurrence check.
     """
 
     restarts: int
     rejected_blocks: int
-    seed_used: int
 
 
 class NB1InfeasibleBudget(RuntimeError):
@@ -295,7 +294,7 @@ def generate(
                 ) from None
             continue
         design = Design(config, ids)
-        return design, GenerationTrace(restarts=restarts, rejected_blocks=rejected_total, seed_used=config.seed)
+        return design, GenerationTrace(restarts=restarts, rejected_blocks=rejected_total)
 
 
 def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) -> Design:

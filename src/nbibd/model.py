@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -110,37 +109,6 @@ class ScoreTable:
         return int(self.judges.size)
 
     @classmethod
-    def from_observations(
-        cls,
-        observations: Iterable[tuple[int, int, float]],
-        t: int,
-        b: int,
-        design: Design | None = None,
-    ) -> "ScoreTable":
-        """Build from (judge_index, poster_id, score) triples.
-
-        When a design is supplied, every observation must correspond to
-        one of its (judge, poster) incidences.
-        """
-        rows = list(observations)
-        judges, posters, scores = ([row[column] for row in rows] for column in range(3))
-        return cls._from_columns(judges, posters, scores, t=t, b=b, design=design)
-
-    @classmethod
-    def _from_columns(cls, judges, posters, scores, t: int, b: int, design: Design | None) -> "ScoreTable":
-        """from_observations on the judge, poster and score columns."""
-        table = cls(judges, posters, scores, t=t, b=b)
-        if design is not None:
-            # judge * base + poster, with base above every poster id on either side
-            base = max(t, design.t)
-            incident = np.arange(design.b)[:, None] * base + design.ids
-            outside = np.flatnonzero(~np.isin(table.judges * base + table.posters, incident))
-            if outside.size:
-                judge, poster = table.judges[outside[0]], table.posters[outside[0]]
-                raise ValueError(f"observation (judge {judge}, poster {poster}) is not in the design")
-        return table
-
-    @classmethod
     def from_design_matrix(cls, design: Design, matrix: np.ndarray) -> "ScoreTable":
         """Select the design's observed cells from a full t-by-b score matrix."""
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -179,9 +147,8 @@ class FitResult:
     condition_number: float
 
 
-def _ranks_desc(values: np.ndarray, eligible: np.ndarray) -> np.ndarray:
-    """Dense ranks, 1 = largest value, ties broken by ascending index."""
-    ids = np.flatnonzero(eligible)
+def _ranks_desc(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Dense ranks of values[ids], 1 = largest value, ties broken by ascending index; 0 off ids."""
     order = ids[np.lexsort((ids, -values[ids]))]
     ranks = np.zeros(values.shape[0], dtype=np.int64)
     ranks[order] = np.arange(1, order.size + 1)
@@ -399,31 +366,30 @@ def _checked_condition(smallest: float) -> float:
 def _fit_result(
     model_kind: str,
     t: int,
-    reviewed: np.ndarray,
-    estimates: np.ndarray,
-    variances: np.ndarray,
+    spectrum: _JudgeSpectrum,
+    centered: np.ndarray,
+    unit_variances: np.ndarray,
+    smallest: float,
+    sigma2: float,
     var_judge: float,
-    var_error: float,
     converged: bool,
-    condition: float,
 ) -> FitResult:
-    """Spread per-reviewed-poster estimates over all t posters and rank them."""
+    """The FitResult over all t posters of solution()'s centered estimates, unit variances and least eigenvalue."""
+    estimates = centered + spectrum.center
     pmm = np.full(t, np.nan)
     se = np.full(t, np.nan)
-    pmm[reviewed] = estimates
-    se[reviewed] = np.sqrt(np.maximum(variances, 0.0))
-    eligible = np.zeros(t, dtype=bool)
-    eligible[reviewed] = True
+    pmm[spectrum.reviewed] = estimates
+    se[spectrum.reviewed] = np.sqrt(np.maximum(sigma2 * unit_variances, 0.0))
     return FitResult(
         model_kind=model_kind,
         grand_mean=float(estimates.mean()),
         pmm=pmm,
         se=se,
-        rank=_ranks_desc(np.where(eligible, pmm, -np.inf), eligible),
+        rank=_ranks_desc(pmm, spectrum.reviewed),
         var_judge=var_judge,
-        var_error=var_error,
+        var_error=float(sigma2),
         converged=converged,
-        condition_number=condition,
+        condition_number=_checked_condition(smallest),
     )
 
 
@@ -464,17 +430,7 @@ def fit_fixed(design: Design, scores: ScoreTable) -> FitResult:
     shift = (float(inv_sizes @ spectrum.totals) - float(w @ tau)) / b_r
     gw = spectrum.inverse(math.inf, w)
     variances = diagonal - 2.0 * gw / b_r + (float(w @ gw) + inv_sizes.sum()) / b_r**2
-    return _fit_result(
-        "fixed",
-        design.t,
-        spectrum.reviewed,
-        tau + shift + spectrum.center,
-        sigma2 * variances,
-        float("nan"),
-        float(sigma2),
-        True,
-        _checked_condition(smallest),
-    )
+    return _fit_result("fixed", design.t, spectrum, tau + shift, variances, smallest, sigma2, math.nan, True)
 
 
 def reml_criterion(scores: ScoreTable, theta: float) -> float:
@@ -619,15 +575,7 @@ def fit_random(design: Design, scores: ScoreTable) -> FitResult:
         sigma2 = spectrum.profile(theta)[1]
     beta, inverse_diagonal, smallest = spectrum.solution(theta)
     return _fit_result(
-        "random",
-        design.t,
-        spectrum.reviewed,
-        beta + spectrum.center,
-        sigma2 * inverse_diagonal,
-        float(theta * sigma2),
-        float(sigma2),
-        converged,
-        _checked_condition(smallest),
+        "random", design.t, spectrum, beta, inverse_diagonal, smallest, sigma2, float(theta * sigma2), converged
     )
 
 
@@ -642,15 +590,28 @@ def write_scores(path: str, table: ScoreTable) -> None:
 
 
 def read_scores(path: str, t: int, b: int, design: Design | None = None) -> ScoreTable:
-    """Read a judge_index,poster_id,score CSV into a ScoreTable."""
+    """Read a judge_index,poster_id,score CSV into a ScoreTable.
+
+    Given a design, every observation must be one of its (judge, poster)
+    incidences: the first that is not is named in a FileFormatError.
+    """
     header, rows = read_csv(path, _SCORES_HEADER)
     judges, posters, scores = parse_columns(path, header, rows, _SCORES_TYPES)
     if not judges.size:
         raise FileFormatError(path, None, "no observations")
     try:
-        return ScoreTable._from_columns(judges, posters, scores, t=t, b=b, design=design)
+        table = ScoreTable(judges, posters, scores, t=t, b=b)
     except ValueError as error:
         raise FileFormatError(path, None, str(error)) from None
+    if design is not None:
+        # judge * base + poster, with base above every poster id on either side
+        base = max(t, design.t)
+        incident = np.arange(design.b)[:, None] * base + design.ids
+        outside = np.flatnonzero(~np.isin(table.judges * base + table.posters, incident))
+        if outside.size:
+            judge, poster = table.judges[outside[0]], table.posters[outside[0]]
+            raise FileFormatError(path, None, f"observation (judge {judge}, poster {poster}) is not in the design")
+    return table
 
 
 def write_fit(path: str, fit: FitResult) -> None:

@@ -25,9 +25,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._util import FileFormatError, parse_columns, read_csv, write_csv
-from .design import DesignConfig, is_connected
+from .design import DesignConfig, _check_integers, is_connected
 from .generate import GeneratorKind, NB1InfeasibleBudget, _nb1_counting_fault, generate
-from .model import ScoreTable, SingularFit, _ranks_desc, fit_random, rank_posters
+from .model import ScoreTable, SingularFit, _ranks_desc, fit_random
 
 __all__ = [
     "METRICS",
@@ -85,6 +85,7 @@ class SimParams:
         if not kinds or len(set(kinds)) != len(kinds):
             raise ValueError("designs must be a non-empty collection of distinct kinds")
         object.__setattr__(self, "designs", _canonical(kinds))
+        _check_integers(self, ("t", "k", "b", "awards", "iterations", "seed"))
         if not 1 <= self.awards <= self.t:
             raise ValueError(f"awards must be in [1, t], got {self.awards}")
         for name in ("sd_poster", "sd_judge", "sd_error"):
@@ -135,11 +136,6 @@ class DesignMetrics:
     mean_se: float
     disconnected: bool
 
-    def value(self, metric: str) -> float:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-        return float(getattr(self, metric))
-
 
 @dataclass(frozen=True)
 class IterationResult:
@@ -172,7 +168,6 @@ class DifferenceSummary(MetricSummary):
 
 @dataclass(frozen=True)
 class SimStudyReport:
-    params: SimParams
     results: tuple[IterationResult, ...]
     design_summary: Mapping[tuple[GeneratorKind, str], MetricSummary]
     difference_summary: Mapping[tuple[GeneratorKind, GeneratorKind, str], DifferenceSummary]
@@ -213,9 +208,8 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
     excluded from the metrics mapping.
     """
     true_scores, matrix = synthesize_scores(params, iteration_seed)
-    true_rank = _ranks_desc(true_scores, np.ones(params.t, dtype=bool))
+    true_rank = _ranks_desc(true_scores, np.arange(params.t))
     true_top = np.flatnonzero(true_rank <= params.awards)
-    top_set = set(int(poster) for poster in true_top)
 
     metrics: dict[GeneratorKind, DesignMetrics] = {}
     failures: list[GeneratorKind] = []
@@ -235,11 +229,12 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
         except SingularFit:
             failures.append(kind)
             continue
-        winners = set(rank_posters(fit, params.awards))
         estimated = fit.rank[true_top].astype(np.float64)
         truth = true_rank[true_top].astype(np.float64)
+        # a true-top poster wins when the fit ranks it among the awards; rank 0 is unreviewed
+        winners = np.count_nonzero((estimated >= 1) & (estimated <= params.awards))
         metrics[kind] = DesignMetrics(
-            win_prop=len(top_set & winners) / params.awards,
+            win_prop=float(winners / params.awards),
             median_rank_dev=float(np.median(np.abs(estimated - truth))),
             mean_score_dev=float(np.mean(np.abs(fit.pmm[true_top] - true_scores[true_top]))),
             mean_se=float(np.mean(fit.se)),
@@ -294,7 +289,7 @@ def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:
     """
     results = run_iterations(params, workers)
     aggregates = aggregate_results(results, params.designs)
-    return SimStudyReport(params=params, results=tuple(results), **aggregates)
+    return SimStudyReport(results=tuple(results), **aggregates)
 
 
 def _metric_summary(values: Sequence[float]) -> MetricSummary:
@@ -346,13 +341,13 @@ def _series(
     kinds = _canonical(designs)
     for kind in kinds:
         for metric in METRICS:
-            values = [r.metrics[kind].value(metric) for r in ordered if kind in r.metrics]
+            values = [getattr(r.metrics[kind], metric) for r in ordered if kind in r.metrics]
             yield (kind,), metric, np.array(values, dtype=np.float64)
     for position, first in enumerate(kinds):
         for second in kinds[position + 1 :]:
             paired = [r for r in ordered if first in r.metrics and second in r.metrics]
             for metric in METRICS:
-                diffs = [r.metrics[first].value(metric) - r.metrics[second].value(metric) for r in paired]
+                diffs = [getattr(r.metrics[first], metric) - getattr(r.metrics[second], metric) for r in paired]
                 yield (first, second), metric, np.array(diffs, dtype=np.float64)
 
 

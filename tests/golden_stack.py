@@ -2,7 +2,7 @@
 
 The design digests depend on numpy's Generator.choice stream, which
 numpy does not promise across versions, and the fit and study digests
-on the LAPACK build behind eigh and on scipy's sparse sum order.  The
+on the LAPACK build behind eigh and on numpy's bincount sums.  The
 numpy and scipy pins are read from the constraints file CI installs.
 """
 

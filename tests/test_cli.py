@@ -465,6 +465,22 @@ def test_score_malformed_scores_exits_two(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_score_observation_outside_the_design_exits_two(tmp_path, capsys):
+    design_path = tmp_path / "design.csv"
+    run(capsys, GEN + ["--kind", "nb2", "--seed", "2", "--out", str(design_path)])
+    outside = min(set(range(30)) - set(read_design(str(design_path)).ids[0].tolist()))
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text(f"judge_index,poster_id,score\n0,{outside},1.0\n")
+    captured = run(
+        capsys,
+        ["score", "--design", str(design_path), "--scores", str(scores_path),
+         "--out", str(tmp_path / "fit.csv")],
+        expect=2,
+    )
+    assert captured.err == f"error: {scores_path}: observation (judge 0, poster {outside}) is not in the design\n"
+    assert not (tmp_path / "fit.csv").exists()
+
+
 @pytest.mark.parametrize(
     "row,column", [("18446744073709551617,2,4.0", "judge_index"), ("0,-9223372036854775809,4.0", "poster_id")]
 )

@@ -133,6 +133,24 @@ def test_design_config_rejects_bad_arguments():
         DesignConfig(t=2**63, k=3, b=3)
 
 
+@pytest.mark.parametrize("field", ["t", "k", "b", "seed", "max_attempts", "faculty_count"])
+@pytest.mark.parametrize("value", [5.0, 1.5, True, np.float64(5.0), "5"])
+def test_design_config_counts_must_be_integers(field, value):
+    # a float seed used to fail inside numpy's SeedSequence at generate
+    counts = dict(t=10, k=3, b=5, seed=1, max_attempts=500, faculty_count=4)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        DesignConfig(**{**counts, field: value})
+
+
+def test_design_config_accepts_numpy_integer_counts():
+    counts = dict(t=10, k=3, b=5, seed=1, max_attempts=500, faculty_count=4)
+    config = DesignConfig(**{name: np.int64(value) for name, value in counts.items()})
+    assert config == DesignConfig(**counts)
+    for kind in ("nb1", "nb2", "random"):
+        assert np.array_equal(generate(config, kind)[0].ids, generate(DesignConfig(**counts), kind)[0].ids)
+    assert DesignConfig(t=np.uint8(10), k=np.int32(3), b=5).faculty_count is None
+
+
 def test_from_blocks_builds_tallies():
     design = make_design(5, 2, [(0, 1), (1, 2), (3, 4)])
     assert design.t == 5 and design.k == 2 and design.b == 3

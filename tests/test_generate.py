@@ -50,12 +50,11 @@ def test_generation_is_deterministic(kind):
 def test_trace_is_trivial_without_rejection(kind):
     config = DesignConfig(seed=4, **SMALL)
     _, trace = generate(config, kind)
-    assert trace == GenerationTrace(restarts=0, rejected_blocks=0, seed_used=4)
+    assert trace == GenerationTrace(restarts=0, rejected_blocks=0)
 
 
 def test_nb1_trace_counts_rejections():
     _, trace = generate(DesignConfig(seed=7, **SMALL), "nb1")
-    assert trace.seed_used == 7
     assert trace.restarts >= 0
     assert trace.rejected_blocks >= 0
 
@@ -420,12 +419,12 @@ def test_designs_keep_their_bytes(tmp_path, kind, seed):
 # of the design extended by 5 nb1 blocks
 RESTART_GOLDEN = {
     3: (
-        GenerationTrace(restarts=1, rejected_blocks=521, seed_used=3),
+        GenerationTrace(restarts=1, rejected_blocks=521),
         "56e1983e5c4cdb8273a186d0d8ef6353b22eef7398a3bbc41db8ce2a29bec502",
         "8ead03a4b0add80dba492c46b6abd49061854e471aa72a4cca9dcb8120bba6a1",
     ),
     18: (
-        GenerationTrace(restarts=2, rejected_blocks=1031, seed_used=18),
+        GenerationTrace(restarts=2, rejected_blocks=1031),
         "0d76d73109850c709e10f4e83c78d152113b7613d8bb147fd5f05ef9660abc78",
         "5d0f7b3664eb697b4df341af98fb659c3e5f4ecfea2f0776834b4e75fedf7ec5",
     ),
@@ -560,7 +559,7 @@ def matches_oracle(config, kind, monkeypatch, restart_budget=50):
     ids, restarts, rejected, rng = expected
     return (
         np.array_equal(design.ids, ids)
-        and trace == GenerationTrace(restarts, rejected, config.seed)
+        and trace == GenerationTrace(restarts, rejected)
         and streams[-1].bit_generator.state == rng.bit_generator.state
     )
 

@@ -846,15 +846,20 @@ def test_score_table_validation():
     check_rejects({**good, "judges": ["0", "0", "1"]}, "judge indices must be integers")
 
 
-def test_from_observations_checks_design_incidence():
+def test_read_scores_checks_design_incidence(tmp_path):
     config = DesignConfig(t=4, k=2, b=2, seed=0)
     design = Design.from_blocks(config, [Block(0, (0, 1), False), Block(1, (2, 3), False)])
-    rows = [(0, 0, 5.0), (0, 1, 6.0), (1, 2, 7.0), (1, 3, 8.0)]
-    table = ScoreTable.from_observations(rows, t=4, b=2, design=design)
-    assert table.n == 4
-    with pytest.raises(ValueError) as excinfo:
-        ScoreTable.from_observations([(0, 0, 5.0), (0, 2, 5.0), (1, 0, 5.0)], t=4, b=2, design=design)
-    assert str(excinfo.value) == "observation (judge 0, poster 2) is not in the design"
+    path = tmp_path / "scores.csv"
+    path.write_text("judge_index,poster_id,score\n0,0,5.0\n0,1,6.0\n1,2,7.0\n1,3,8.0\n")
+    table = read_scores(str(path), t=4, b=2, design=design)
+    assert (table.judges.tolist(), table.posters.tolist()) == ([0, 0, 1, 1], [0, 1, 2, 3])
+    assert table.scores.tolist() == [5.0, 6.0, 7.0, 8.0]
+    path.write_text("judge_index,poster_id,score\n0,0,5.0\n0,2,5.0\n1,0,5.0\n")
+    with pytest.raises(FileFormatError) as excinfo:
+        read_scores(str(path), t=4, b=2, design=design)
+    assert str(excinfo.value) == f"{path}: observation (judge 0, poster 2) is not in the design"
+    # without a design the same observations are a table
+    assert read_scores(str(path), t=4, b=2).n == 3
 
 
 def test_from_design_matrix_rejects_wrong_shape():

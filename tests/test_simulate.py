@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nbibd import (
     METRICS,
     PRESETS,
+    Design,
     DesignMetrics,
     FileFormatError,
     GeneratorKind,
@@ -20,6 +21,7 @@ from nbibd import (
     SimParams,
     aggregate_results,
     present_kinds,
+    rank_posters,
     read_metrics,
     run_iteration,
     run_study,
@@ -204,7 +206,7 @@ def test_infeasible_nb1_kind_is_recorded_as_failure(monkeypatch):
     assert result.failures == (NB1,)
     assert set(result.metrics) == {NB2, RANDOM}
     for entry in result.metrics.values():
-        assert all(math.isfinite(entry.value(metric)) for metric in METRICS)
+        assert all(math.isfinite(getattr(entry, metric)) for metric in METRICS)
 
 
 def test_aggregation_counts_missing_kinds_as_failures():
@@ -237,13 +239,6 @@ def test_kinds_given_out_of_order_keep_every_report_row(tmp_path):
     write_histogram(str(path), results, (RANDOM, NB1), bins=2)
     names = {line.split(",")[1] for line in path.read_text().splitlines()[1:]}
     assert names == {"nb1", "random", "nb1-random"}
-
-
-def test_metric_value_lookup_rejects_unknown_names():
-    entry = metrics_row()
-    assert entry.value("mean_se") == 3.0
-    with pytest.raises(ValueError):
-        entry.value("rmse")
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -449,6 +444,80 @@ def test_params_validation():
             small_params(**overrides)
 
 
+@pytest.mark.parametrize("field", ["t", "k", "b", "awards", "iterations", "seed"])
+@pytest.mark.parametrize("value", [8.0, 2.5, True, np.float64(8.0), "8"])
+def test_params_counts_must_be_integers(field, value):
+    # a float seed used to fail inside numpy's SeedSequence, and a float
+    # awards was only stopped by a slice in rank_posters
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        small_params(**{field: value})
+
+
+def test_params_accept_numpy_integer_counts():
+    counts = dict(t=40, k=5, b=18, awards=8, iterations=2, seed=3)
+    params = SimParams(**{name: np.int64(value) for name, value in counts.items()})
+    assert params == SimParams(**counts)
+    assert run_iteration(params, 0) == run_iteration(SimParams(**counts), 0)
+
+
+def recorded_fits(monkeypatch):
+    """The list each fit_random call of the study appends its fit to."""
+    fits = []
+    real_fit_random = simulate_module.fit_random
+
+    def recording(design, table):
+        fits.append(real_fit_random(design, table))
+        return fits[-1]
+
+    monkeypatch.setattr(simulate_module, "fit_random", recording)
+    return fits
+
+
+def oracle_win_prop(params, iteration, fit):
+    """The fraction of the true top that rank_posters names among the awards."""
+    true_scores, _ = synthesize_scores(params, iteration)
+    true_top = set(np.argsort(-true_scores, kind="stable")[: params.awards].tolist())
+    return len(set(rank_posters(fit, params.awards)) & true_top) / params.awards
+
+
+def test_win_prop_counts_the_true_top_among_the_fitted_winners(monkeypatch):
+    fits = recorded_fits(monkeypatch)
+    params = small_params(iterations=12)
+    seen = {kind: set() for kind in params.designs}
+    for iteration in range(params.iterations):
+        fits.clear()
+        result = run_iteration(params, iteration)
+        # run_iteration fits the kinds in order and scores each fit it keeps
+        assert list(result.metrics) == [kind for kind in params.designs if kind not in result.failures]
+        for kind, fit in zip(result.metrics, fits, strict=True):
+            win_prop = result.metrics[kind].win_prop
+            assert type(win_prop) is float
+            assert win_prop == oracle_win_prop(params, iteration, fit)
+            seen[kind].add(win_prop)
+    # every kind was scored, on more than one outcome
+    assert all(len(values) > 1 for values in seen.values())
+
+
+def test_win_prop_leaves_out_an_unreviewed_true_top_poster(monkeypatch):
+    # rank 0 marks a poster no judge reviewed, which no award can reach
+    params = small_params(iterations=1, designs=("random",))
+    best = int(np.argmax(synthesize_scores(params, 0)[0]))
+    real_generate = simulate_module.generate
+
+    def uncovering(config, kind):
+        design, trace = real_generate(config, kind)
+        ids = design.ids.copy()
+        for row in ids:
+            row[row == best] = min(set(range(params.t)) - set(row.tolist()))
+        return Design(design.config, ids), trace
+
+    monkeypatch.setattr(simulate_module, "generate", uncovering)
+    fits = recorded_fits(monkeypatch)
+    result = run_iteration(params, 0)
+    assert fits[0].rank[best] == 0
+    assert result.metrics[RANDOM].win_prop == oracle_win_prop(params, 0, fits[0])
+
+
 def test_params_reject_shapes_the_near_balanced_kinds_cannot_cover():
     # 45 blocks of 5 reach at most 5 + 44 * 4 = 181 of 200 posters: nb1 and
     # nb2 used to record mean_score_dev = nan on every iteration
@@ -499,4 +568,4 @@ def test_accepted_shapes_never_abort_or_report_nan(shape, seed):
     result = run_iteration(params, 0)
     assert set(result.metrics) | set(result.failures) == kinds
     for entry in result.metrics.values():
-        assert all(math.isfinite(entry.value(metric)) for metric in METRICS)
+        assert all(math.isfinite(getattr(entry, metric)) for metric in METRICS)
