@@ -8,20 +8,20 @@ prefix.  The generators call no validator; they share Design's block rule.
 
 A design is its read-only (b, k) array of poster ids, row j being judge
 j's block; block j is a faculty block when j < config.faculty_blocks.
-The tallies are bincounts over that array, and the t x t pair tally and
-the Block views are derived on first use.
+The replication tally is a bincount over that array and the Block views
+are derived on first use; pairs are read as the codes a*t + b (a < b)
+of _pair_codes, so no t x t array is ever formed.
 
 Design(config, ids), Design.from_blocks and read_design name the same
 first faulty block for the same reason: all three ask _first_fault.
 
 A design is connected when every poster is reviewed and the co-review
-graph has one component: is_connected counts the components of the
-judge-poster graph over all b + t nodes, where an unreviewed poster is a
-component of its own.  Every prefix is connected, among the posters it
-reviews, iff each block j >= 1 holds a poster first seen before block j:
-by induction on prefixes, a block that shares a poster with a connected
-prefix joins its component and a block of unseen posters starts a new
-one.
+graph has one component: is_connected links each block's first poster
+to the rest and hooks roots together until every link joins one root.
+Every prefix is connected, among the posters it reviews, iff each block
+j >= 1 holds a poster first seen before block j: by induction on
+prefixes, a block that shares a poster with a connected prefix joins its
+component and a block of unseen posters starts a new one.
 """
 
 from __future__ import annotations
@@ -181,9 +181,8 @@ class Design:
 
     ids[j] is judge j's block, a faculty block when j < faculty_blocks.
     The rest is derived from ids on first use: replication[i] counts
-    reviews of poster i, concurrence[i, j] blocks containing both i and
-    j (t x t, int64, zero diagonal), both read-only, and blocks is one
-    Block view per row.
+    reviews of poster i (int64, read-only), and blocks is one Block view
+    per row.
     Construction checks that ids is a (b, k) integer array with no
     faulty block under the design's own judges and faculty flags.
     """
@@ -213,15 +212,6 @@ class Design:
         replication = np.bincount(self.ids.ravel(), minlength=self.t).astype(np.int64, copy=False)
         replication.flags.writeable = False
         return replication
-
-    @cached_property
-    def concurrence(self) -> np.ndarray:
-        """Pair tally: a bincount of the within-block codes i*t + j, i != j."""
-        t, k = self.t, self.k
-        codes = (self.ids[:, :, None] * t + self.ids[:, None, :])[:, ~np.eye(k, dtype=bool)]
-        concurrence = np.bincount(codes.ravel(), minlength=t * t).astype(np.int64, copy=False).reshape(t, t)
-        concurrence.flags.writeable = False
-        return concurrence
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -310,22 +300,36 @@ def _faculty_count(config: DesignConfig, faculty: np.ndarray) -> int | None:
     return config.faculty_count if run == min(len(faculty), config.faculty_blocks) else run
 
 
+def _pair_codes(ids: np.ndarray, t: int) -> np.ndarray:
+    """Each row's pairs a < b as the codes a*t + b, row by row in ascending (a, b) order."""
+    ordered = np.sort(ids, axis=1).astype(np.int64, copy=False)
+    low, high = np.triu_indices(ids.shape[1], 1)
+    return ordered[:, low] * t + ordered[:, high]
+
+
 def is_connected(design: Design) -> bool:
     """True when every poster is reviewed and the co-review graph has one component.
 
-    One connected_components pass labels the judge-poster graph, judge j
-    node j and poster i node b + i; an unreviewed poster is an isolated
-    node, so the count is 1 only when every poster is reviewed.
+    Each block links its first poster to the rest.  Every root hooks onto
+    the least root it links to, and root = root[root] repeats until each
+    poster points at its root; the pass ends when every link joins equal
+    roots.  Roots only move to smaller ids, so poster 0 stays a root and
+    the graph is one component iff every poster's root is 0.
     """
-    # imported here: validate calls this only when the first-seen rule
-    # fails, so generate, extend and validate otherwise never load scipy
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    b, nodes = design.b, design.b + design.t
-    indptr = np.minimum(np.arange(nodes + 1) * design.k, b * design.k)
-    graph = csr_array((np.ones(b * design.k), design.ids.ravel() + b, indptr), shape=(nodes, nodes))
-    return bool(connected_components(graph, directed=True, connection="weak")[0] == 1)
+    if not design.replication.all():
+        return False
+    heads = np.repeat(design.ids[:, 0], design.k - 1)
+    tails = design.ids[:, 1:].ravel()
+    root = np.arange(design.t)
+    while True:
+        head_roots, tail_roots = root[heads], root[tails]
+        if np.array_equal(head_roots, tail_roots):
+            return not root.any()
+        np.minimum.at(root, head_roots, tail_roots)
+        np.minimum.at(root, tail_roots, head_roots)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def validate(design: Design) -> ValidationReport:
@@ -338,16 +342,13 @@ def validate(design: Design) -> ValidationReport:
     rows = np.arange(b)
     first_block = np.full(t, b)
     np.minimum.at(first_block, design.ids, rows[:, None])
-    covered = bool(replication.min() >= 1)
     faculty_run = min(b, design.config.faculty_blocks)
-    # the whole design is its last prefix, so the graph pass runs only when the rule fails
-    all_prefixes_connected = bool((first_block[design.ids[1:]] < rows[1:, None]).any(axis=1).all())
     return ValidationReport(
         replication_spread=int(replication.max() - replication.min()),
-        max_concurrence=int(design.concurrence.max()),
-        connected=covered and (all_prefixes_connected or is_connected(design)),
-        all_prefixes_connected=all_prefixes_connected,
-        covered=covered,
+        max_concurrence=int(np.unique(_pair_codes(design.ids, t), return_counts=True)[1].max()),
+        connected=is_connected(design),
+        all_prefixes_connected=bool((first_block[design.ids[1:]] < rows[1:, None]).any(axis=1).all()),
+        covered=bool(replication.all()),
         faculty_coverage_ok=b < design.config.b_min or bool((first_block < faculty_run).all()),
     )
 

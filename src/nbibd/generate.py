@@ -21,7 +21,7 @@ review-count strata are built once per block and shared by its rejected
 draws, and an nb1 block whose every draw must take the same conflicting
 posters draws its remaining attempts without checking them and restarts.
 nb1 keeps the pairs that have met as a set of codes a*t + b (a < b),
-seeded from the rows already drawn; no kind forms the t x t pair tally.
+seeded from the rows already drawn by design._pair_codes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design import Design, DesignConfig
+from .design import Design, DesignConfig, _pair_codes
 
 __all__ = [
     "GeneratorKind",
@@ -141,14 +141,14 @@ def _draw_block(
     return members
 
 
-def _pair_codes(members: list[int], t: int) -> list[int]:
-    """Each pair a < b of distinct members as the code a*t + b, in ascending (a, b) order."""
+def _block_codes(members: list[int], t: int) -> list[int]:
+    """design._pair_codes of one block as Python ints; for a handful of members this beats a numpy call."""
     return [a * t + b for a, b in combinations(sorted(members), 2)]
 
 
 def _met_pair(met: set[int], t: int, members: list[int]) -> tuple[int, int] | None:
     """The first pair of members whose code is in met, in ascending id order, or None."""
-    for code in _pair_codes(members, t):
+    for code in _block_codes(members, t):
         if code in met:
             return divmod(code, t)
     return None
@@ -187,7 +187,7 @@ def _append_blocks(
     b_min, t = config.b_min, config.t
     near_balanced = kind is not GeneratorKind.RANDOM
     nb1 = kind is GeneratorKind.NB1
-    met = {code for row in ids[:start].tolist() for code in _pair_codes(row, t)} if nb1 else set()
+    met = set(_pair_codes(ids[:start], t).ravel().tolist()) if nb1 else set()
     covered = False
     for index in range(start, ids.shape[0]):
         if near_balanced:
@@ -228,7 +228,7 @@ def _append_blocks(
         ids[index] = members
         replication[members] += 1
         if nb1:
-            met.update(_pair_codes(members, t))
+            met.update(_block_codes(members, t))
     return rejected
 
 
@@ -309,8 +309,7 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     rejected draw already when the draw was forced (past the faculty
     phase, every least-reviewed stratum it touched taken whole), since
     every later attempt would draw the same posters.  nb1 reads the pairs
-    that met in the prefix from its rows; no kind forms the t x t pair
-    tally.
+    that met in the prefix from its rows.
     The result's id array is new, its first rows a copy of design.ids;
     appended block j is faculty when j < faculty_blocks.
     """

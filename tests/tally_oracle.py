@@ -1,11 +1,15 @@
 """The brute-force tally oracle shared by the design, generator and acceptance tests.
 
 A nested loop over every block and every within-block pair: the
-reference that nbibd's bincount tallies (`Design.replication` and
-`Design.concurrence`) must match exactly.
+reference that nbibd's tallies (the `Design.replication` bincount, the
+count of each pair code from `design._pair_codes`, and `validate`'s
+`max_concurrence`) must match exactly.
 """
 
 import numpy as np
+
+from nbibd import validate
+from nbibd.design import _pair_codes
 
 
 def brute_force_tallies(t, blocks):
@@ -25,11 +29,18 @@ def brute_force_tallies(t, blocks):
 def tallies_match_oracle(design):
     """True when the design's tallies equal the oracle exactly.
 
-    Exactly means equal values, int64 dtype and a zero concurrence
-    diagonal.
+    Exactly means an int64 replication equal to the oracle's; the pairs
+    that meet, counted from their _pair_codes, equal to the non-zero
+    upper triangle of the oracle's concurrence, pair by pair; and
+    validate's max_concurrence equal to that concurrence's maximum.
     """
-    expected = brute_force_tallies(design.t, design.blocks)
-    for produced, wanted in zip((design.replication, design.concurrence), expected):
-        if produced.dtype != np.int64 or not np.array_equal(produced, wanted):
-            return False
-    return not np.diagonal(design.concurrence).any()
+    replication, concurrence = brute_force_tallies(design.t, design.blocks)
+    if design.replication.dtype != np.int64 or not np.array_equal(design.replication, replication):
+        return False
+    codes, counts = np.unique(_pair_codes(design.ids, design.t), return_counts=True)
+    low, high = np.nonzero(np.triu(concurrence))
+    return (
+        np.array_equal(codes, low * design.t + high)
+        and np.array_equal(counts, concurrence[low, high])
+        and validate(design).max_concurrence == concurrence.max()
+    )

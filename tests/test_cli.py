@@ -181,6 +181,17 @@ def test_validate_flags_disconnection(tmp_path, capsys):
     assert "connected=false" in captured.out
 
 
+def test_validate_of_a_wide_poster_id_forms_no_pair_table(tmp_path, capsys):
+    # t = 100001 inferred from the largest id: a t x t pair tally would take
+    # 74.5 GiB, the pair codes and the connectivity pass take O(b*k + t)
+    path = tmp_path / "wide.csv"
+    path.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,100000\n1,true,1,100000\n")
+    captured = run(capsys, ["validate", str(path)], expect=1)
+    assert "spread=2 max_lambda=1 covered=false connected=false all_prefixes_connected=true" in captured.out
+    assert "not every poster is reviewed" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # t=4 posters, k=2 reviews per judge, so b_min = ceil(t/(k-1)) = 4 faculty blocks;
 # each design breaks one rule that `validate --kind` enforces and keeps the others
 VALIDATE_FAILURES = {
@@ -304,7 +315,7 @@ def fresh_run(commands):
 
 def test_design_commands_load_no_scipy(tmp_path):
     # a judge arrival (extend, then validate) and generate import numpy
-    # alone: scipy loads where the study and is_connected call it
+    # alone: scipy loads only where the study summary calls scipy.special
     path = str(tmp_path / "design.csv")
     lines, codes, scipy_modules = fresh_run([
         GEN + ["--kind", "nb2", "--seed", "7", "--out", path],
@@ -340,6 +351,19 @@ def test_score_loads_no_scipy(tmp_path, capsys):
     assert scipy_modules == set()
 
 
+def test_simulate_loads_no_scipy(tmp_path, monkeypatch):
+    # the study checks each design's connectivity and fits it on numpy
+    # alone; only report's paired-t quantile reads scipy
+    monkeypatch.setenv("NBIBD_THREADS", "1")
+    lines, codes, scipy_modules = fresh_run([
+        ["simulate", "--posters", "30", "--judges", "12", "--awards", "3", "--iterations", "2",
+         "--seed", "1", "--out", str(tmp_path / "metrics.csv")]
+    ])
+    assert codes == [0]
+    assert "failures=0" in lines[-1]
+    assert scipy_modules == set()
+
+
 def test_report_loads_no_scipy_stats(tmp_path):
     # the paired-t quantile comes from scipy.special, which loads neither
     # scipy.stats nor the scipy.optimize and scipy.linalg that it brings
@@ -363,8 +387,8 @@ def test_report_loads_no_scipy_stats(tmp_path):
 
 
 def test_validate_of_a_prefix_disconnected_design_in_a_fresh_interpreter(tmp_path):
-    # the first-seen rule fails on both files, so validate asks
-    # is_connected, whose scipy import happens at that call
+    # the first-seen rule fails on both files, and validate's
+    # connectivity pass still runs on numpy alone
     bridged = tmp_path / "bridged.csv"
     blocks = [Block(0, (0, 1, 2), True), Block(1, (3, 4, 5), True), Block(2, (0, 3, 4), True)]
     write_design(str(bridged), Design.from_blocks(DesignConfig(t=6, k=3, b=3, seed=0), blocks))
@@ -374,7 +398,7 @@ def test_validate_of_a_prefix_disconnected_design_in_a_fresh_interpreter(tmp_pat
     assert codes == [0, 1]
     assert "covered=true connected=true all_prefixes_connected=false" in lines[0]
     assert "covered=true connected=false all_prefixes_connected=false" in lines[1]
-    assert "scipy.sparse.csgraph" in scipy_modules
+    assert scipy_modules == set()
 
 
 def test_score_complete_block_recovers_raw_means(tmp_path, capsys):

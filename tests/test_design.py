@@ -1,12 +1,15 @@
 """Feasibility arithmetic, tallies, connectivity, and the design CSV codec."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from nbibd import (
     DesignConfig,
@@ -20,7 +23,7 @@ from nbibd import (
     validate,
     write_design,
 )
-from nbibd.design import Block, Design
+from nbibd.design import Block, Design, _pair_codes
 from nbibd.generate import generate
 from connectivity_oracle import prefix_connected_flags
 from design_check_oracle import first_fault, parse_rows
@@ -155,12 +158,6 @@ def test_from_blocks_builds_tallies():
     design = make_design(5, 2, [(0, 1), (1, 2), (3, 4)])
     assert design.t == 5 and design.k == 2 and design.b == 3
     assert design.replication.tolist() == [1, 2, 1, 1, 1]
-    assert design.concurrence[0, 1] == 1
-    assert design.concurrence[1, 0] == 1
-    assert design.concurrence[1, 2] == 1
-    assert design.concurrence[3, 4] == 1
-    assert design.concurrence[0, 2] == 0
-    assert np.trace(design.concurrence) == 0
 
 
 def test_from_blocks_rejects_malformed_blocks():
@@ -275,26 +272,68 @@ def test_is_connected_prefixes():
     assert outcomes >= {(True, True, True), (True, True, False), (True, False, False), (False, False, True)}
 
 
-def test_validate_runs_the_graph_pass_only_when_a_prefix_splits(monkeypatch):
-    # every prefix connected includes the whole design, so validate needs
-    # is_connected only when the first-seen rule fails somewhere
-    calls = []
+def csgraph_connected(design):
+    """is_connected's rule by scipy: one component in the judge-poster graph over b + t nodes."""
+    b, t, k = design.b, design.t, design.k
+    graph = coo_matrix((np.ones(b * k), (np.repeat(np.arange(b), k), design.ids.ravel() + b)), shape=(b + t, b + t))
+    return connected_components(graph, directed=False)[0] == 1
 
-    def spy(design):
-        calls.append(design)
-        return is_connected(design)
 
-    monkeypatch.setattr("nbibd.design.is_connected", spy)
-    nb2 = generate(DesignConfig(t=30, k=4, b=20, seed=1), "nb2")[0]
-    split = make_design(4, 2, [(0, 1), (2, 3)])
-    mended = make_design(4, 2, [(0, 1), (2, 3), (1, 2)])
-    for design, all_prefixes, connected in ((nb2, True, True), (split, False, False), (mended, False, True)):
-        calls.clear()
-        report = validate(design)
-        assert calls == ([] if all_prefixes else [design])
-        flags = prefix_connected_flags(design.t, design.ids.tolist())
-        assert (report.covered, report.all_prefixes_connected, report.connected) == (True, all(flags), flags[-1])
-        assert (all(flags), flags[-1]) == (all_prefixes, connected)
+def assert_connectivity_matches_oracles(design):
+    """is_connected and validate agree with union-find and with csgraph; returns (covered, connected)."""
+    covered = bool(design.replication.all())
+    connected = covered and prefix_connected_flags(design.t, design.ids.tolist())[-1]
+    assert csgraph_connected(design) == connected
+    assert is_connected(design) == connected
+    assert validate(design).connected == connected
+    return covered, connected
+
+
+def test_is_connected_matches_union_find_and_csgraph():
+    rng = np.random.default_rng(5)
+    designs = list(_generated_designs())
+    # posters split into 2, 3 and 5 groups, every block inside one group:
+    # two or more components on purpose
+    for groups in (2, 3, 5):
+        parts = np.array_split(rng.permutation(30), groups)
+        designs.append(make_design(30, 3, [rng.choice(parts[j % groups], 3, replace=False) for j in range(40)]))
+    # posters left unreviewed, with the reviewed ones connected and split
+    designs += [make_design(9, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6)]), make_design(9, 3, [(0, 1, 2), (3, 4, 5)])]
+    # k = t with b = 1, and t = 2
+    designs += [make_design(5, 5, [(4, 2, 0, 3, 1)]), make_design(2, 2, [(1, 0)]), make_design(2, 2, [(1, 0), (0, 1)])]
+    # block j = (t-2-j, t-1-j): the chain that needs the most pointer jumps
+    designs += [make_design(t, 2, [(t - 2 - j, t - 1 - j) for j in range(t - 1)]) for t in (3, 64, 1001)]
+    outcomes = {assert_connectivity_matches_oracles(design) for design in designs}
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(2, 40), k=st.integers(2, 6), b=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_is_connected_matches_the_oracles_on_random_blocks(t, k, b, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, t)
+    assert_connectivity_matches_oracles(make_design(t, k, [rng.choice(t, k, replace=False) for _ in range(b)]))
+
+
+@pytest.mark.parametrize("kind", ["nb1", "nb2", "random"])
+def test_validate_forms_no_pair_table(kind):
+    # a t x t int64 tally at t=5000 takes 190.7 MiB; validate must peak
+    # below a tenth of that
+    design, _ = generate(DesignConfig(t=5000, k=5, b=2500, seed=1), kind)
+    tracemalloc.start()
+    try:
+        validate(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < design.t * design.t * 8 / 10, peak
+
+
+def test_pair_codes_are_int64_for_narrow_ids():
+    # int32 ids at t=100001 would overflow a*t + b in their own dtype
+    codes = _pair_codes(np.array([[70000, 3], [2, 1]], dtype=np.int32), 100001)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [[3 * 100001 + 70000], [1 * 100001 + 2]]
 
 
 def test_connected_report_requires_coverage():
@@ -345,9 +384,6 @@ def test_validate_detects_corrupted_tallies():
     before = validate(design)
     with pytest.raises(ValueError):
         design.replication[0] += 1
-    # the pair tally, derived on first read, refuses the write as well
-    with pytest.raises(ValueError):
-        design.concurrence[0, 1] += 1
     assert tallies_match_oracle(design)
     after = validate(design)
     assert after == before

@@ -16,12 +16,10 @@ from nbibd import (
     NB1InfeasibleBudget,
     extend,
     generate,
-    is_connected,
     read_design,
     validate,
     write_design,
 )
-from nbibd.cli import main
 from nbibd.design import Block, Design
 from draw_oracle import OracleRestart, append_blocks, oracle_generate
 from golden_stack import stack_note
@@ -270,26 +268,13 @@ def test_extend_nb1_fails_fast_at_a_forced_dead_end(monkeypatch):
     assert extend(design, 1, "nb2").b == 80
 
 
-@pytest.mark.parametrize("kind", ["nb1", "nb2"])
-def test_arrivals_form_no_pair_tally(tmp_path, monkeypatch, kind):
-    # read -> extend -> write, in the library and through the CLI, must
-    # never derive the t x t concurrence: nb1 reads the met pairs from
-    # the prefix rows
-    base, _ = generate(DesignConfig(t=30, k=4, b=12, seed=9), kind)
-    path = tmp_path / "design.csv"
-    write_design(str(path), base)
-
-    def refuse(design):
-        raise AssertionError("a t x t pair tally was formed")
-
-    monkeypatch.setattr(Design, "concurrence", property(refuse))
-    grown = extend(read_design(str(path), seed=9), 3, kind)
-    write_design(str(path), grown)
-    argv = ["extend", "--design", str(path), "--blocks", "1", "--kind", kind, "--seed", "9", "--out", str(path)]
-    assert main(argv) == 0
-    assert read_design(str(path)).blocks[:15] == grown.blocks
-    with pytest.raises(AssertionError, match="pair tally"):
-        validate(grown)
+@pytest.mark.parametrize("kind", ["nb1", "nb2", "random"])
+def test_block_codes_are_the_pair_codes_of_each_row(kind):
+    # nb1 seeds its met pairs with the array helper and adds each
+    # accepted block's codes from the Python one
+    design, _ = generate(DesignConfig(seed=3, **SMALL), kind)
+    rows = [generate_module._block_codes(row, design.t) for row in design.ids.tolist()]
+    assert rows == generate_module._pair_codes(design.ids, design.t).tolist()
 
 
 # t=40, k=5 has b_min=10: b=8 stays inside the default faculty phase
@@ -346,8 +331,8 @@ def test_ids_are_read_only_on_every_path(tmp_path):
     write_design(str(path), extended)
     rebuilt = Design.from_blocks(design.config, design.blocks)
     for built in (design, extended, rebuilt, read_design(str(path))):
-        # the tallies too: a corrupted tally never reaches a report
-        for array in (built.ids, built.replication, built.concurrence):
+        # the tally too: a corrupted tally never reaches a report
+        for array in (built.ids, built.replication):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -637,7 +622,7 @@ def test_every_kind_draws_as_the_per_attempt_oracle(config, kind, extra):
     ids = np.zeros((grown.b, grown.k), dtype=np.int64)
     ids[: config.b] = design.ids
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, config.b])))
-    concurrence = design.concurrence.copy() if kind == "nb1" else None
+    concurrence = brute_force_tallies(design.t, design.blocks)[1] if kind == "nb1" else None
     try:
         append_blocks(grown, kind, ids, config.b, design.replication.copy(), concurrence, rng)
     except OracleRestart:
