@@ -11,12 +11,16 @@ empty cell, and int and str as given.  parse_cell turns one cell into a
 value (an integer must fit int64) or a FileFormatError naming its row
 and column; parse_columns turns a table's data rows into one array per
 column by the same conversion and dtype.
+
+one_blas_thread runs a block with every loaded OpenBLAS at one thread,
+as the study runs its iterations.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -176,3 +180,40 @@ def parse_columns(
             for kind, cell, name in zip(types, row, header):
                 parse_cell(cell, kind, path, number, name)
         raise
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body with every loaded OpenBLAS at one thread; on exit each gets back the count it had.
+
+    The libraries are found in /proc/self/maps.  numpy and scipy wheels
+    each carry their own OpenBLAS, whose thread symbols differ in prefix
+    and in the 64-bit-integer suffix.  A process forked inside the body
+    inherits the one-thread setting.  ctypes is imported only on entry,
+    and where no OpenBLAS is found the body runs as it is.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line and line.rstrip().endswith(".so")})
+    except OSError:
+        paths = []
+    restore = []
+    if paths:
+        import ctypes
+
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+                get = getattr(lib, name.format("get_num_threads"), None)
+                set_threads = getattr(lib, name.format("set_num_threads"), None)
+                if get is not None and set_threads is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    restore.append((set_threads, get()))
+                    set_threads(1)
+                    break
+    try:
+        yield
+    finally:
+        for set_threads, threads in restore:
+            set_threads(threads)

@@ -109,12 +109,18 @@ def max_faculty_reviews(t: int, k: int) -> int:
 _MAX_POSTERS = 2**63 - 1
 
 
-def _check_integers(config: object, names: Iterable[str]) -> None:
-    """Reject the first named field that is not an int or a numpy integer; a bool is not a count."""
+def _store_integers(config: object, names: Iterable[str]) -> None:
+    """Store each named field of a frozen config as a Python int.
+
+    The first field that is not an int or a numpy integer is rejected; a
+    bool is not a count.  A numpy count would keep its own type, so that
+    min_connect_blocks of an unsigned t would wrap around.
+    """
     for name in names:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ class DesignConfig:
 
     def __post_init__(self) -> None:
         optional = () if self.faculty_count is None else ("faculty_count",)
-        _check_integers(self, ("t", "k", "b", "seed", "max_attempts", *optional))
+        _store_integers(self, ("t", "k", "b", "seed", "max_attempts", *optional))
         if self.t < 2:
             raise ValueError(f"need at least 2 posters, got t={self.t}")
         if self.t > _MAX_POSTERS:
@@ -146,7 +152,7 @@ class DesignConfig:
             raise ValueError(f"need 2 <= k <= t, got k={self.k}, t={self.t}")
         if self.b < 1:
             raise ValueError(f"need at least 1 block, got b={self.b}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")

@@ -100,8 +100,9 @@ class ScoreTable:
         object.__setattr__(self, "scores", scores)
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        pairs = judges * self.t + posters
-        if np.unique(pairs).size != pairs.size:
+        # sorted codes, not np.unique, which imports numpy.ma
+        pairs = np.sort(judges * self.t + posters)
+        if (pairs[1:] == pairs[:-1]).any():
             raise ValueError("duplicate (judge, poster) observation")
 
     @property
@@ -253,7 +254,8 @@ class _JudgeSpectrum:
         squares = replication * replication
         pair_starts = np.cumsum(squares) - squares
         pairs = np.empty(int(squares.sum()), dtype=np.int64)
-        for r in np.unique(replication).tolist():
+        # the replication levels present, ascending, as np.unique gives them without importing numpy.ma
+        for r in np.flatnonzero(np.bincount(replication)).tolist():
             members = np.flatnonzero(replication == r)
             table = self.slot_judges[starts[members, None] + np.arange(r)]
             self.groups.append((members, table))

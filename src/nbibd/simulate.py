@@ -8,9 +8,10 @@ comparisons are paired; summaries report per-design distributions and
 within-iteration differences.
 
 Reproducibility: every random draw comes from a stream derived from
-(master seed, iteration index, role, design kind), so results do not
-depend on worker count or scheduling, and adding a design kind never
-perturbs the streams of existing kinds.
+(master seed, iteration index, role, design kind), and every iteration
+runs at one BLAS thread, so results do not depend on worker count or
+scheduling; adding a design kind never perturbs the streams of existing
+kinds.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import FileFormatError, parse_columns, read_csv, write_csv
-from .design import DesignConfig, _check_integers, is_connected
+from ._util import FileFormatError, one_blas_thread, parse_columns, read_csv, write_csv
+from .design import DesignConfig, _store_integers, is_connected
 from .generate import GeneratorKind, NB1InfeasibleBudget, _nb1_counting_fault, generate
 from .model import ScoreTable, SingularFit, _ranks_desc, fit_random
 
@@ -85,7 +86,7 @@ class SimParams:
         if not kinds or len(set(kinds)) != len(kinds):
             raise ValueError("designs must be a non-empty collection of distinct kinds")
         object.__setattr__(self, "designs", _canonical(kinds))
-        _check_integers(self, ("t", "k", "b", "awards", "iterations", "seed"))
+        _store_integers(self, ("t", "k", "b", "awards", "iterations", "seed"))
         if not 1 <= self.awards <= self.t:
             raise ValueError(f"awards must be in [1, t], got {self.awards}")
         for name in ("sd_poster", "sd_judge", "sd_error"):
@@ -235,12 +236,19 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
         winners = np.count_nonzero((estimated >= 1) & (estimated <= params.awards))
         metrics[kind] = DesignMetrics(
             win_prop=float(winners / params.awards),
-            median_rank_dev=float(np.median(np.abs(estimated - truth))),
+            median_rank_dev=_median(np.abs(estimated - truth)),
             mean_score_dev=float(np.mean(np.abs(fit.pmm[true_top] - true_scores[true_top]))),
             mean_se=float(np.mean(fit.se)),
             disconnected=disconnected,
         )
     return IterationResult(iteration=iteration_seed, metrics=metrics, failures=tuple(failures))
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of values, which are never NaN, without the numpy.ma import np.median makes."""
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    return float((ordered[half] + ordered[-1 - half]) / 2)
 
 
 def _worker_count(params: SimParams, workers: int | None) -> int:
@@ -264,21 +272,25 @@ def run_iterations(params: SimParams, workers: int | None = None) -> list[Iterat
 
     workers = None consults NBIBD_THREADS (0 or unset = one worker per
     CPU).  Results are identical for any worker count because each
-    iteration owns its deterministic sub-streams.
+    iteration owns its deterministic sub-streams, and every iteration
+    runs at one BLAS thread: the loop and the pool run inside
+    one_blas_thread, whose setting forked workers inherit, and the
+    caller's thread count is restored afterwards.
     """
     count = _worker_count(params, workers)
-    if count == 1:
-        return [run_iteration(params, index) for index in range(params.iterations)]
-    # imported here: only a pooled run needs multiprocessing
-    from multiprocessing import get_context
+    with one_blas_thread():
+        if count == 1:
+            return [run_iteration(params, index) for index in range(params.iterations)]
+        # imported here: only a pooled run needs multiprocessing
+        from multiprocessing import get_context
 
-    try:
-        context = get_context("fork")
-    except ValueError:
-        context = get_context()
-    chunk = max(1, params.iterations // (count * 8))
-    with context.Pool(count) as pool:
-        return list(pool.imap(partial(run_iteration, params), range(params.iterations), chunksize=chunk))
+        try:
+            context = get_context("fork")
+        except ValueError:
+            context = get_context()
+        chunk = max(1, params.iterations // (count * 8))
+        with context.Pool(count) as pool:
+            return list(pool.imap(partial(run_iteration, params), range(params.iterations), chunksize=chunk))
 
 
 def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:

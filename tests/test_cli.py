@@ -292,25 +292,26 @@ def test_production_paths_build_no_block(tmp_path, capsys, monkeypatch):
 
 
 # runs each argv through cli.main in this interpreter, then reports the
-# exit codes and every loaded module of the scipy package
+# exit codes and every loaded module of the given package
 _MODULE_PROBE = """
 import json, sys
 from nbibd import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+package = sys.argv[2]
+print(json.dumps({"codes": codes, "modules": sorted(m for m in sys.modules if (m + ".").startswith(package + "."))}))
 """
 
 
-def fresh_run(commands):
-    """(stdout lines, exit codes, scipy modules) of commands run in a new interpreter."""
+def fresh_run(commands, package="scipy"):
+    """(stdout lines, exit codes, modules of package) of commands run in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(commands), package],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     *lines, last = done.stdout.splitlines()
     probe = json.loads(last)
-    return lines, probe["codes"], set(probe["scipy"])
+    return lines, probe["codes"], set(probe["modules"])
 
 
 def test_design_commands_load_no_scipy(tmp_path):
@@ -327,9 +328,10 @@ def test_design_commands_load_no_scipy(tmp_path):
     assert scipy_modules == set()
 
 
-def test_score_loads_no_scipy(tmp_path, capsys):
-    # both fits run on numpy alone, on a full table and on one with about
-    # 10 % of its cells dropped, whose judges score unequal numbers of posters
+def score_commands(tmp_path, capsys):
+    """An nb2 design at design.csv and the four score commands: both models
+    on a full table and on one with about 10 % of its cells dropped, whose
+    judges score unequal numbers of posters."""
     path = str(tmp_path / "design.csv")
     shape = ["--posters", "20", "--block-size", "5", "--judges", "12"]
     run(capsys, ["generate", *shape, "--kind", "nb2", "--seed", "7", "--out", path])
@@ -346,7 +348,12 @@ def test_score_loads_no_scipy(tmp_path, capsys):
             ["score", "--design", path, "--scores", scores, "--model", model, "--out", str(tmp_path / f"{name}_{model}.csv")]
             for model in ("random", "fixed")
         ]
-    _, codes, scipy_modules = fresh_run(commands)
+    return commands
+
+
+def test_score_loads_no_scipy(tmp_path, capsys):
+    # both fits run on numpy alone, on equal and on unequal judge sizes
+    _, codes, scipy_modules = fresh_run(score_commands(tmp_path, capsys))
     assert codes == [0, 0, 0, 0]
     assert scipy_modules == set()
 
@@ -362,6 +369,24 @@ def test_simulate_loads_no_scipy(tmp_path, monkeypatch):
     assert codes == [0]
     assert "failures=0" in lines[-1]
     assert scipy_modules == set()
+
+
+def test_no_command_but_report_loads_numpy_ma(tmp_path, capsys, monkeypatch):
+    # numpy 2.4 imports numpy.ma in a plain np.unique and in np.median;
+    # only report, through scipy.special, needs it
+    monkeypatch.setenv("NBIBD_THREADS", "1")
+    arrived = str(tmp_path / "arrived.csv")
+    commands = score_commands(tmp_path, capsys) + [
+        GEN + ["--kind", "nb1", "--seed", "7", "--out", str(tmp_path / "nb1.csv")],
+        ["extend", "--design", str(tmp_path / "design.csv"), "--blocks", "3", "--kind", "nb2", "--seed", "7",
+         "--out", arrived],
+        ["validate", arrived, "--kind", "nb2"],
+        ["simulate", "--posters", "30", "--judges", "12", "--awards", "3", "--iterations", "2",
+         "--seed", "1", "--out", str(tmp_path / "metrics.csv")],
+    ]
+    _, codes, ma_modules = fresh_run(commands, package="numpy.ma")
+    assert codes == [0] * len(commands)
+    assert ma_modules == set()
 
 
 def test_report_loads_no_scipy_stats(tmp_path):

@@ -154,6 +154,19 @@ def test_design_config_accepts_numpy_integer_counts():
     assert DesignConfig(t=np.uint8(10), k=np.int32(3), b=5).faculty_count is None
 
 
+def test_design_config_stores_its_counts_as_python_ints():
+    # an unsigned numpy t used to wrap min_connect_blocks around: b_min
+    # read -14, and nb1 gave up after 50 restarts where t=200 succeeds
+    config = DesignConfig(t=np.uint8(200), k=np.int32(5), b=60, seed=np.uint64(1))
+    assert config.b_min == 50
+    assert all(type(getattr(config, name)) is int for name in ("t", "k", "b", "seed", "max_attempts"))
+    for kind in ("nb1", "nb2", "random"):
+        design, trace = generate(config, kind)
+        expected, expected_trace = generate(DesignConfig(t=200, k=5, b=60, seed=1), kind)
+        assert np.array_equal(design.ids, expected.ids)
+        assert trace == expected_trace
+
+
 def test_from_blocks_builds_tallies():
     design = make_design(5, 2, [(0, 1), (1, 2), (3, 4)])
     assert design.t == 5 and design.k == 2 and design.b == 3

@@ -829,6 +829,8 @@ def test_score_table_validation():
     check_rejects({**good, "posters": np.array([0, 1, 2])}, "poster id outside")
     check_rejects({**good, "scores": np.array([1.0, np.nan, 3.0])}, "finite")
     check_rejects({**good, "judges": np.array([0, 0, 0])}, "duplicate")
+    # a repeat is found wherever it falls in the table, not only next to its twin
+    check_rejects({**good, "judges": np.array([1, 0, 1]), "posters": np.array([0, 1, 0])}, "duplicate")
     # ids are never truncated: a non-integral or NaN id is refused, an
     # integer-valued float is the id it names
     truncated = dict(judges=[0.7, 1.2], posters=[0, 1.9], scores=[1.0, 2.0], t=3, b=2)

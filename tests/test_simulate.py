@@ -24,6 +24,7 @@ from nbibd import (
     rank_posters,
     read_metrics,
     run_iteration,
+    run_iterations,
     run_study,
     synthesize_scores,
     write_histogram,
@@ -31,6 +32,7 @@ from nbibd import (
     write_summary,
 )
 from nbibd.cli import main
+from blas_threads import blas_threads, blas_threads_at
 from golden_stack import stack_note
 
 cli_module = importlib.import_module("nbibd.cli")
@@ -122,6 +124,51 @@ def test_study_results_do_not_depend_on_worker_count():
     assert serial.difference_summary == forked.difference_summary
     assert serial.disconnected_counts == forked.disconnected_counts
     assert set(serial.design_summary) == {(kind, metric) for kind in params.designs for metric in METRICS}
+
+
+def test_a_large_study_does_not_depend_on_worker_count():
+    # at t=1000, b=500 one and two BLAS threads give different fits, so
+    # the serial loop and the workers must run at the same thread count
+    params = SimParams(t=1000, b=500, k=5, iterations=2, seed=3, designs=("nb2",))
+    with blas_threads_at(2):
+        serial = run_iterations(params, workers=1)
+        forked = run_iterations(params, workers=2)
+    assert serial == forked
+    assert not serial[0].failures
+
+
+def threads_of_iteration(params, index):
+    """Stands in for run_iteration: the BLAS thread counts the iteration runs at."""
+    return blas_threads()
+
+
+def raising_iteration(params, index):
+    raise RuntimeError(f"iteration {index} failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_iteration_runs_at_one_blas_thread(monkeypatch, workers):
+    if not blas_threads():
+        pytest.skip("no OpenBLAS is loaded")
+    monkeypatch.setattr(simulate_module, "run_iteration", threads_of_iteration)
+    with blas_threads_at(2):
+        counts = run_iterations(small_params(iterations=4), workers)
+        assert blas_threads() == [2] * len(counts[0])
+    assert counts == [[1] * len(counts[0])] * 4
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_study_gives_the_caller_back_its_blas_threads(monkeypatch, workers):
+    if not blas_threads():
+        pytest.skip("no OpenBLAS is loaded")
+    params = small_params(iterations=2)
+    with blas_threads_at(3):
+        run_study(params, workers)
+        assert set(blas_threads()) == {3}
+        monkeypatch.setattr(simulate_module, "run_iteration", raising_iteration)
+        with pytest.raises(RuntimeError, match="iteration 0 failed"):
+            run_study(params, workers)
+        assert set(blas_threads()) == {3}
 
 
 def test_worker_count_env_override(monkeypatch):
@@ -457,6 +504,7 @@ def test_params_accept_numpy_integer_counts():
     counts = dict(t=40, k=5, b=18, awards=8, iterations=2, seed=3)
     params = SimParams(**{name: np.int64(value) for name, value in counts.items()})
     assert params == SimParams(**counts)
+    assert all(type(getattr(params, name)) is int for name in counts)
     assert run_iteration(params, 0) == run_iteration(SimParams(**counts), 0)
 
 

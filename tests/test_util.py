@@ -22,8 +22,9 @@ from nbibd import (
     write_metrics,
     write_scores,
 )
-from nbibd._util import format_cell, format_float, parse_cell, parse_columns, read_csv, write_csv
+from nbibd._util import format_cell, format_float, one_blas_thread, parse_cell, parse_columns, read_csv, write_csv
 from nbibd.simulate import DesignMetrics, IterationResult
+from blas_threads import blas_threads, blas_threads_at
 
 
 FILES = {
@@ -183,3 +184,14 @@ def test_the_package_re_exports_each_public_name_of_its_modules_once():
             assert getattr(nbibd, name) is getattr(module, name), name
     assert nbibd.FileFormatError is importlib.import_module("nbibd._util").FileFormatError
     assert not hasattr(nbibd, "summarize_differences") and not hasattr(modules[3], "summarize_differences")
+
+
+def test_one_blas_thread_nests_and_gives_back_each_count():
+    if not blas_threads():
+        pytest.skip("no OpenBLAS is loaded")
+    with blas_threads_at(3):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert set(blas_threads()) == {1}
+            assert set(blas_threads()) == {1}
+        assert set(blas_threads()) == {3}
