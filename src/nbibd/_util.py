@@ -41,15 +41,17 @@ def write_csv(path: str, header: Sequence[str], types: Sequence[type], columns: 
 
     The i-th column holds cells of type types[i], as parse_columns
     returns them, spelled by that type's rule as the rows are written;
-    int and str cells are written as given.  The file is written to a
-    sibling temp file and renamed over path, so readers never observe a
-    partial file: the rename is atomic on POSIX, and a crash or a
-    failing row leaves the original untouched.  The temp file has a
-    random name and is created exclusively with mode 0o666, so the
+    int and str cells are written as given.  No columns at all, as
+    zip(*rows) gives for no rows, write the header alone.  The file is
+    written to a sibling temp file and renamed over path, so readers
+    never observe a partial file: the rename is atomic on POSIX, and a
+    crash or a failing row leaves the original untouched.  The temp file
+    has a random name and is created exclusively with mode 0o666, so the
     kernel applies the umask and the file gets the mode open() gives a
     new file; the process umask is never changed.
     """
     spellers = [_COLUMN_TYPES[kind][3] for kind in types]
+    columns = list(columns) or [()] * len(types)
     spelled = [
         column if spell is None else map(spell, column) for spell, column in zip(spellers, columns, strict=True)
     ]

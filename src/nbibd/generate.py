@@ -19,7 +19,7 @@ Design; block j is a faculty block when j < config.faculty_blocks.
 Work whose answer is known is skipped, never the random draws: the
 review-count strata are built once per block and shared by its rejected
 draws, and an nb1 block whose every draw must take the same conflicting
-posters draws its remaining attempts without checking them and restarts.
+posters is known before its first draw; its draws go unchecked.
 nb1 keeps the pairs that have met as a set of codes a*t + b (a < b),
 seeded from the rows already drawn by design._pair_codes.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class GenerationTrace:
 
     restarts counts full from-scratch restarts (always 0 for nb2 and
     random); rejected_blocks counts candidate blocks discarded by the
-    pair-concurrence check.
+    pair-concurrence check, or unchecked at a dead-end block.
     """
 
     restarts: int
@@ -159,11 +159,10 @@ def _append_blocks(
     kind: GeneratorKind,
     ids: np.ndarray,
     start: int,
-    replication: np.ndarray,
     rng: np.random.Generator,
     stop_at_dead_end: bool = False,
 ) -> int:
-    """Draw rows start.. of ids in place, updating replication; returns the rejected count.
+    """Draw rows start.. of ids in place, tallying reviews from rows ..start; returns the rejected count.
 
     Every block of every kind is one _draw_block over strata built once,
     before its first draw, since the tallies only change when a block is
@@ -173,56 +172,53 @@ def _append_blocks(
     any candidate that would let a pair of posters meet twice, checked
     against the pair codes of rows ..start and of each accepted block,
     and raises _RestartSignal once a single block has collected
-    config.max_attempts consecutive discards.  A discard past the
-    faculty phase is forced when its posters are exactly the k reviewed
-    at most as often as the most-reviewed of them: every stratum it
-    touched was taken whole, so every later attempt draws the same
-    posters and meets the same pair.  Then the remaining attempts are
-    drawn unchecked, count as discards, and _RestartSignal follows.
+    config.max_attempts consecutive discards.  Past the faculty phase a
+    block is a dead end when its leading strata hold exactly k posters,
+    two of whom have met: every draw takes those strata whole, so it
+    meets the same pair.  This is decided once, before the first draw,
+    and the block's draws are then discarded without the pair check.
     stop_at_dead_end is for extend, which may not restart: it raises
-    NB1InfeasibleBudget in place of _RestartSignal, and already at a
-    forced discard.
+    NB1InfeasibleBudget in place of _RestartSignal, and already before a
+    dead block's first draw.
     """
     rejected = 0
-    b_min, t = config.b_min, config.t
+    b_min, t, k = config.b_min, config.t, config.k
     near_balanced = kind is not GeneratorKind.RANDOM
     nb1 = kind is GeneratorKind.NB1
+    replication = np.bincount(ids[:start].ravel(), minlength=t)
     met = set(_pair_codes(ids[:start], t).ravel().tolist()) if nb1 else set()
     covered = False
     for index in range(start, ids.shape[0]):
         if near_balanced:
-            strata = _strata(replication, config.k)
+            strata = _strata(replication, k)
         elif not covered:
-            strata = _strata(np.minimum(replication, 1), config.k)
+            strata = _strata(np.minimum(replication, 1), k)
             # one stratum of all t posters comes from an all-zero or an all-reviewed tally; from the
             # latter the clipped tally, and so the strata, stay the same for every later block
-            covered = strata[0].size == config.t and replication[0] > 0
+            covered = strata[0].size == t and replication[0] > 0
         anchors = _anchor_pool(replication, config.r_f) if near_balanced and 0 < index < b_min else None
+        dead = None
+        if nb1 and index >= b_min and k in accumulate(stratum.size for stratum in strata):
+            forced = np.concatenate(strata)[:k].tolist()
+            dead = _met_pair(met, t, forced)
+            if dead is not None and stop_at_dead_end:
+                raise NB1InfeasibleBudget(
+                    f"nb1 cannot extend block {index} at t={t}, k={k}: every draw takes the same {k} "
+                    f"least-reviewed posters (review count at most {replication[forced].max()}), and posters "
+                    f"{dead[0]} and {dead[1]} among them have already met; an nb2 continuation can finish the session"
+                )
         discards = 0
         while True:
-            members = _draw_block(strata, anchors, config.k, rng)
-            pair = _met_pair(met, t, members) if nb1 else None
-            if pair is None:
+            members = _draw_block(strata, anchors, k, rng)
+            if not nb1 or (dead is None and _met_pair(met, t, members) is None):
                 break
             rejected += 1
             discards += 1
-            if index >= b_min and np.count_nonzero(replication <= replication[members].max()) == config.k:
-                if stop_at_dead_end:
-                    raise NB1InfeasibleBudget(
-                        f"nb1 cannot extend block {index} at t={config.t}, k={config.k}: every draw takes the "
-                        f"same {config.k} least-reviewed posters (review count at most "
-                        f"{replication[members].max()}), and posters {pair[0]} and {pair[1]} among them have "
-                        f"already met; an nb2 continuation can finish the session"
-                    )
-                remaining = config.max_attempts - discards
-                for _ in range(remaining):
-                    _draw_block(strata, anchors, config.k, rng)
-                raise _RestartSignal(rejected + remaining)
             if discards >= config.max_attempts:
                 if stop_at_dead_end:
                     raise NB1InfeasibleBudget(
                         f"no pair-compatible block found after {config.max_attempts} attempts while extending "
-                        f"block {index} at t={config.t}, k={config.k}"
+                        f"block {index} at t={t}, k={k}"
                     )
                 raise _RestartSignal(rejected)
         ids[index] = members
@@ -280,10 +276,9 @@ def generate(
     restarts = 0
     rejected_total = 0
     while True:
-        replication = np.zeros(config.t, dtype=np.int64)
         ids = np.empty((config.b, config.k), dtype=np.int64)
         try:
-            rejected_total += _append_blocks(config, kind, ids, 0, replication, rng)
+            rejected_total += _append_blocks(config, kind, ids, 0, rng)
         except _RestartSignal as signal:
             rejected_total += signal.rejected
             restarts += 1
@@ -305,11 +300,11 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     deterministic without replaying the original generation.  An nb1
     extension raises NB1InfeasibleBudget as soon as one block exhausts
     max_attempts: restarting from scratch would revise the prefix, which
-    this operation promises never to do.  It raises at the first
-    rejected draw already when the draw was forced (past the faculty
-    phase, every least-reviewed stratum it touched taken whole), since
-    every later attempt would draw the same posters.  nb1 reads the pairs
-    that met in the prefix from its rows.
+    this operation promises never to do.  It raises before drawing
+    already at a dead-end block (past the faculty phase, the leading
+    strata hold exactly k posters, two of whom have met), since every
+    attempt would draw the same posters.  The review tally and nb1's met
+    pairs are read from the prefix rows.
     The result's id array is new, its first rows a copy of design.ids;
     appended block j is faculty when j < faculty_blocks.
     """
@@ -324,6 +319,5 @@ def extend(design: Design, additional_blocks: int, kind: GeneratorKind | str) ->
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=[config.seed, start])))
     ids = np.empty((config.b, config.k), dtype=np.int64)
     ids[:start] = design.ids
-    replication = design.replication.copy()
-    _append_blocks(config, kind, ids, start, replication, rng, stop_at_dead_end=True)
+    _append_blocks(config, kind, ids, start, rng, stop_at_dead_end=True)
     return Design(config, ids)

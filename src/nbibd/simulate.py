@@ -260,11 +260,13 @@ def _worker_count(params: SimParams, workers: int | None) -> int:
             workers = int(env) if env else 0
         except ValueError:
             raise ValueError(f"NBIBD_THREADS must be an integer, got {env!r}") from None
+    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 0:
         raise ValueError(f"{source} must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
-    return max(1, min(workers, params.iterations))
+    return max(1, min(int(workers), params.iterations))
 
 
 def run_iterations(params: SimParams, workers: int | None = None) -> list[IterationResult]:

@@ -259,7 +259,7 @@ def test_extend_nb1_fails_fast_at_a_forced_dead_end(monkeypatch):
     monkeypatch.setattr(generate_module, "_draw_block", counted)
     with pytest.raises(NB1InfeasibleBudget) as excinfo:
         extend(design, 1, "nb1")
-    assert len(draws) == 1
+    assert len(draws) == 0
     assert str(excinfo.value) == (
         "nb1 cannot extend block 79 at t=200, k=5: every draw takes the same 5 least-reviewed posters "
         "(review count at most 1), and posters 155 and 182 among them have already met; "
@@ -551,22 +551,26 @@ def matches_oracle(config, kind, monkeypatch, restart_budget=50):
 
 # posters 0-2 are the only ones below review count 2 and only 0 and 1
 # of them have met, in the first prefix row, so every draw of the next
-# block takes 0, 1 and 2 and is rejected; with poster 0 unreviewed the
-# draw takes two strata whole
-@pytest.mark.parametrize("levels", [(1, 1, 1), (0, 1, 1)])
-def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, levels):
+# block takes 0, 1 and 2 and is rejected; in the second prefix poster 2
+# is unreviewed, so the draw takes two strata whole
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        [(0, 1, 3), (3, 4, 5), (4, 6, 7), (5, 6, 8), (2, 7, 8)],
+        [(0, 1, 3), (3, 4, 5), (4, 6, 7), (5, 6, 8), (4, 7, 8)],
+    ],
+)
+def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, prefix):
     config = DesignConfig(t=9, k=3, b=6, seed=5, max_attempts=50)
     start = config.b_min
-    assert start < config.b
-    prefix = [(0, 1, 3), (3, 4, 5), (4, 6, 7), (5, 6, 8), (2, 7, 8)]
-    _, concurrence = brute_force_tallies(config.t, [Block(j, row, True) for j, row in enumerate(prefix)])
+    assert start == len(prefix) < config.b
+    replication, concurrence = brute_force_tallies(config.t, [Block(j, row, True) for j, row in enumerate(prefix)])
+    assert sorted(np.flatnonzero(replication < 2)) == [0, 1, 2]
 
-    def tallies():
-        replication = np.full(config.t, 2, dtype=np.int64)
-        replication[:3] = levels
+    def prefix_ids():
         ids = np.zeros((config.b, config.k), dtype=np.int64)
         ids[:start] = prefix
-        return replication, ids
+        return ids
 
     calls = {"_draw_block": 0, "_met_pair": 0}
 
@@ -581,15 +585,13 @@ def test_forced_dead_end_fast_forwards_to_the_full_loop_state(monkeypatch, level
 
     for name in calls:
         monkeypatch.setattr(generate_module, name, counted(name))
-    replication, ids = tallies()
     fast = np.random.Generator(np.random.PCG64(config.seed))
     with pytest.raises(generate_module._RestartSignal) as excinfo:
-        generate_module._append_blocks(config, GeneratorKind.NB1, ids, start, replication, fast)
-    replication, ids = tallies()
+        generate_module._append_blocks(config, GeneratorKind.NB1, prefix_ids(), start, fast)
     full = np.random.Generator(np.random.PCG64(config.seed))
     with pytest.raises(OracleRestart) as oracle:
-        append_blocks(config, "nb1", ids, start, replication, concurrence, full)
-    # the first discard is found forced, so the rest are drawn unchecked
+        append_blocks(config, "nb1", prefix_ids(), start, replication, concurrence, full)
+    # the block is found dead before its first draw, so every draw is discarded unchecked
     assert calls == {"_draw_block": config.max_attempts, "_met_pair": 1}
     assert excinfo.value.rejected == oracle.value.rejected == config.max_attempts
     assert fast.bit_generator.state == full.bit_generator.state

@@ -191,6 +191,14 @@ def test_worker_count_env_override(monkeypatch):
     assert _worker_count(params, 99) == 5
     with pytest.raises(ValueError, match="worker count must be >= 0, got -1"):
         _worker_count(params, -1)
+    assert type(_worker_count(params, np.int64(2))) is int
+
+
+@pytest.mark.parametrize("workers", [2.0, "2", True, np.float64(2.0)], ids=repr)
+def test_a_worker_count_that_is_not_an_integer_is_refused(workers):
+    with pytest.raises(ValueError) as excinfo:
+        run_iterations(small_params(iterations=2), workers)
+    assert str(excinfo.value) == f"workers must be an integer, got {workers!r}"
 
 
 def test_difference_summary_sign_and_interval():
@@ -330,6 +338,22 @@ def test_malformed_metrics_csv(tmp_path, content, fragment, row):
         read_metrics(str(path))
     assert fragment in str(excinfo.value)
     assert excinfo.value.row == row
+
+
+def test_results_with_no_metrics_write_headers_alone(tmp_path):
+    # every kind of the one iteration failed, as a burnt nb1 budget leaves it
+    results = [IterationResult(0, {})]
+    path = tmp_path / "metrics.csv"
+    write_metrics(str(path), results)
+    assert path.read_text() == HEADER + "\n"
+    with pytest.raises(FileFormatError, match="no metric rows"):
+        read_metrics(str(path))
+    histogram = tmp_path / "histogram.csv"
+    write_histogram(str(histogram), results, (NB1,), bins=3)
+    assert histogram.read_text() == "section,name,metric,bin_left,bin_right,count\n"
+    summary = tmp_path / "summary.csv"
+    write_summary(str(summary), {}, {}, {}, {})
+    assert summary.read_text() == "section,name,metric,n,mean,sd,min,max,q025,q500,q975,ci_low,ci_high\n"
 
 
 def test_summary_csv_layout(tmp_path):

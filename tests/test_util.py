@@ -107,6 +107,15 @@ def test_a_cell_is_spelled_by_its_column_type_and_parses_back(tmp_path):
     assert [column.tolist() for column in columns] == [[7], ["nb2"], [True], [False], [0.1]]
 
 
+def test_no_rows_write_the_header_alone(tmp_path):
+    # zip(*rows) of no rows gives no columns at all, not empty ones
+    path = tmp_path / "table.csv"
+    write_csv(str(path), ["a", "b"], [int, float], zip(*[]))
+    assert path.read_text(encoding="utf-8") == "a,b\n"
+    with pytest.raises(ValueError):
+        write_csv(str(path), ["a", "b"], [int, float], [[1]])
+
+
 def test_a_failing_write_leaves_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "table.csv"
     write_csv(str(path), ["a", "b"], [int, int], [[1, 3], [2, 4]])
