@@ -2,15 +2,17 @@
 
 write_csv and read_csv own the framing shared by the design, scores,
 fit, metrics, summary and histogram files: a header row, \\n line ends,
-atomic replacement, rows numbered for error messages, column-count
-checks, the empty-file error, and a UTF-8 byte-order mark skipped on
-reading and never written.  A column's type (int, float, bool or str)
-decides how its cells are spelled and parsed: write_csv and format_cell
-write a bool as true/false, a float by format_float, NaN and None as the
-empty cell, and int and str as given.  parse_cell turns one cell into a
-value (an integer must fit int64) or a FileFormatError naming its row
-and column; parse_columns turns a table's data rows into one array per
-column by the same conversion and dtype.
+atomic replacement, the empty-file error, UTF-8 text with a byte-order
+mark skipped on reading and never written, and the error for a file
+that is not UTF-8 or that csv cannot frame.  A column's type (int,
+float, bool or str) decides how its cells are spelled and parsed:
+write_csv and format_cell write a bool as true/false, a float by
+format_float, NaN and None as the empty cell, and int and str as given.
+parse_cell turns one cell into a value (an integer must fit int64) or a
+FileFormatError naming its row and column.  parse_columns turns the
+data rows read_csv returns, a plain list, into one array per column by
+the same conversion and dtype; it is where a row of the wrong width or
+a faulty cell is found, the first in row, then column order.
 
 one_blas_thread runs a block with every loaded OpenBLAS at one thread,
 as the study runs its iterations.
@@ -71,32 +73,28 @@ def write_csv(path: str, header: Sequence[str], types: Sequence[type], columns: 
         raise
 
 
-def read_csv(
-    path: str, header: Sequence[str] | None = None
-) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """Read a CSV file into its header and its numbered data rows.
+def read_csv(path: str, header: Sequence[str] | None = None) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV file into its header row and its data rows.
 
-    Rows are numbered as FileFormatError reports them: the header is row
-    1, so data rows count from 2.  An empty file is rejected; when header
-    is given the first row must equal it.  The data rows are yielded
-    lazily, so a caller can check a variable header before any row, and
-    each row must have as many cells as the header.
+    An empty file is rejected; when header is given the first row must
+    equal it.  A file that is not UTF-8, or that csv cannot frame (such
+    as a cell above csv's field size limit), is rejected naming path,
+    and for framing the line where csv stopped.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            rows = list(reader)
+    except UnicodeDecodeError as error:
+        byte = error.object[error.start]
+        raise FileFormatError(path, None, f"not UTF-8 text ({error.reason} 0x{byte:02x})") from None
+    except csv.Error as error:
+        raise FileFormatError(path, None, f"line {reader.line_num}: {error}") from None
     if not rows:
         raise FileFormatError(path, None, "empty file")
     if header is not None and rows[0] != list(header):
         raise FileFormatError(path, 1, f"header must be {','.join(header)}")
-    width = len(rows[0])
-
-    def numbered() -> Iterator[tuple[int, list[str]]]:
-        for number, row in enumerate(rows[1:], start=2):
-            if len(row) != width:
-                raise FileFormatError(path, number, f"expected {width} columns, got {len(row)}")
-            yield number, row
-
-    return rows[0], numbered()
+    return rows[0], rows[1:]
 
 
 def format_float(value: float) -> str:
@@ -153,32 +151,29 @@ def format_cell(value: object, kind: type) -> str:
     return spell(value) if spell else "" if value is None else str(value)
 
 
-def parse_columns(
-    path: str, header: Sequence[str], rows: Iterator[tuple[int, list[str]]], types: Sequence[type]
-) -> list[np.ndarray]:
+def parse_columns(path: str, header: Sequence[str], rows: list[list[str]], types: Sequence[type]) -> list[np.ndarray]:
     """read_csv's data rows as one array per column, column i of type types[i]: int, float, bool or str.
 
     Each column is converted in one pass, its cells mapped through their
     type's conversion and then one np.array of the column's dtype, the
     two steps parse_cell takes for one cell.  So a table is accepted,
-    with the same values, exactly when parse_cell accepts each of its
-    cells.  When a cell or a row's width is at fault, the rows read so
-    far are parsed again one cell at a time, so the fault reported is
-    the first in row, then column order, as a per-row loop over
-    parse_cell would report it.
+    with the same values, exactly when each row has the header's width
+    and parse_cell accepts each of its cells.  When one does not, the
+    rows are scanned in order, a row's width before its cells, so the
+    fault reported is the first in row, then column order.  Rows are
+    numbered as FileFormatError reports them: the header is row 1.
     """
     kinds = [_COLUMN_TYPES[kind] for kind in types]
-    table: list[tuple[int, list[str]]] = []
     try:
-        for numbered in rows:
-            table.append(numbered)
-        columns = list(zip(*(row for _, row in table))) or [()] * len(kinds)
+        # each column leads with its name, so a row of another width breaks the strict zip
+        columns = [column[1:] for column in zip(header, *rows, strict=True)]
         return [
             np.array(list(map(convert, column)), dtype=dtype) for (convert, dtype, _, _), column in zip(kinds, columns)
         ]
-    # read_csv's width fault is a FileFormatError, and so a ValueError
     except (KeyError, ValueError, OverflowError):
-        for number, row in table:
+        for number, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise FileFormatError(path, number, f"expected {len(header)} columns, got {len(row)}") from None
             for kind, cell, name in zip(types, row, header):
                 parse_cell(cell, kind, path, number, name)
         raise
@@ -196,7 +191,9 @@ def one_blas_thread() -> Iterator[None]:
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line and line.rstrip().endswith(".so")})
+            lines = [line.rstrip("\n") for line in handle if "openblas" in line]
+        # the sixth field is the path, which may itself hold spaces
+        paths = sorted({line.split(maxsplit=5)[5] for line in lines if line.endswith(".so")})
     except OSError:
         paths = []
     restore = []

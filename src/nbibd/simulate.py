@@ -418,10 +418,10 @@ def read_metrics(path: str) -> list[IterationResult]:
     """Rebuild per-iteration results from a metrics CSV.
 
     Every cell is parsed first, as read_design parses; the rows are then
-    checked in order for a negative iteration, an unknown design kind and
-    a repeated (iteration, design).  Failure lists cannot be recovered
-    from the file; kinds simply appear with no row, which
-    aggregate_results counts as failures.
+    checked in order for a negative iteration, an unknown design kind, a
+    metric that is not finite and a repeated (iteration, design).
+    Failure lists cannot be recovered from the file; kinds simply appear
+    with no row, which aggregate_results counts as failures.
     """
     header, rows = read_csv(path, _METRICS_HEADER)
     columns = parse_columns(path, header, rows, _METRICS_TYPES)
@@ -436,6 +436,9 @@ def read_metrics(path: str) -> list[IterationResult]:
             kind = GeneratorKind(design)
         except ValueError:
             raise FileFormatError(path, number, f"unknown design kind {design!r}") from None
+        for name, value in zip(METRICS, metrics):
+            if not math.isfinite(value):
+                raise FileFormatError(path, number, f"column {name!r} must be finite, got {value}")
         per_iteration = collected.setdefault(iteration, {})
         if kind in per_iteration:
             raise FileFormatError(path, number, f"duplicate row for iteration {iteration}, design {kind.value}")

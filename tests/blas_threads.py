@@ -13,15 +13,21 @@ _PREFIXES = ("scipy_openblas", "openblas")
 _SUFFIXES = ("64_", "")
 
 
-def _libraries():
-    """(get, set) thread-count functions of each loaded OpenBLAS, in path order."""
+def library_paths():
+    """The path of each loaded OpenBLAS, sorted; empty where none is found."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:
-            paths = sorted({line.split()[-1] for line in handle if "openblas" in line and line.rstrip().endswith(".so")})
+            lines = [line.rstrip("\n") for line in handle if "openblas" in line]
     except OSError:
         return []
+    # the sixth field is the path, which may itself hold spaces
+    return sorted({line.split(maxsplit=5)[5] for line in lines if line.endswith(".so")})
+
+
+def _libraries():
+    """(get, set) thread-count functions of each loaded OpenBLAS, in path order."""
     found = []
-    for path in paths:
+    for path in library_paths():
         lib = ctypes.CDLL(path)
         symbols = (
             (getattr(lib, f"{prefix}_get_num_threads{suffix}", None), getattr(lib, f"{prefix}_set_num_threads{suffix}", None))

@@ -6,24 +6,29 @@ by Design, Design.from_blocks and read_design, must match in the row
 they name and in the message.
 """
 
-from nbibd._util import parse_cell, read_csv
+from nbibd._util import FileFormatError, parse_cell, read_csv
 
 
 def parse_rows(path):
     """The (judge_index, faculty, posters) triples of a design file, parsed one cell at a time.
 
-    parse_cell goes over the cells in row, then column order, so the
-    FileFormatError raised is the first faulty cell or row width.
+    Each row's width is checked before its cells, and parse_cell goes
+    over the cells in row, then column order, so the FileFormatError
+    raised is the first faulty row width or cell.
     """
-    _, rows = read_csv(path)
-    return [
-        (
-            parse_cell(row[0], int, path, number, "judge_index"),
-            parse_cell(row[1], bool, path, number, "faculty"),
-            [parse_cell(cell, int, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])],
+    header, rows = read_csv(path)
+    parsed = []
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise FileFormatError(path, number, f"expected {len(header)} columns, got {len(row)}")
+        parsed.append(
+            (
+                parse_cell(row[0], int, path, number, "judge_index"),
+                parse_cell(row[1], bool, path, number, "faculty"),
+                [parse_cell(cell, int, path, number, f"poster_{j + 1}") for j, cell in enumerate(row[2:])],
+            )
         )
-        for number, row in rows
-    ]
+    return parsed
 
 
 def first_fault(rows, t, k):

@@ -482,6 +482,12 @@ def test_score_respects_explicit_summary_path(tmp_path, capsys):
     )
     assert summary.exists()
     assert not (tmp_path / "fit.summary.csv").exists()
+    # an --out without .csv gets the suffix appended
+    captured = run(
+        capsys, ["score", "--design", str(design_path), "--scores", str(scores_path), "--out", str(tmp_path / "fit")]
+    )
+    assert f"summary={tmp_path / 'fit.summary.csv'}" in captured.out
+    assert (tmp_path / "fit.summary.csv").exists()
 
 
 def test_score_disconnected_design_exits_one(tmp_path, capsys):
@@ -654,3 +660,29 @@ def test_validate_poster_id_beyond_int64_exits_cleanly(tmp_path, capsys):
     small.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n")
     captured = run(capsys, ["validate", str(small), "--posters", str(2**70)], expect=1)
     assert "does not fit a 64-bit poster count" in captured.err
+
+
+def test_validate_of_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("judge_index,faculty,poster_1,poster_2\n0,true,0,1 \u00e9\n".encode("latin-1"))
+    captured = run(capsys, ["validate", str(path)], expect=2)
+    assert f"error: {path}: not UTF-8 text (invalid continuation byte 0xe9)" in captured.err
+
+
+def test_validate_of_a_cell_past_the_csv_field_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("judge_index,faculty,poster_1,poster_2\n0,true,0,1\n1,true,0," + "1" * 200_000 + "\n")
+    captured = run(capsys, ["validate", str(path)], expect=2)
+    assert f"error: {path}: line 3: field larger than field limit" in captured.err
+
+
+def test_report_of_a_metric_that_is_not_finite_exits_two(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    row = DesignMetrics(win_prop=0.5, median_rank_dev=1.0, mean_score_dev=2.0, mean_se=3.0, disconnected=False)
+    write_metrics(str(metrics), [IterationResult(i, {GeneratorKind.NB2: row}) for i in range(2)])
+    with open(metrics, "a") as handle:
+        handle.write("2,nb2,1.0,inf,1.0,1.0,false\n")
+    summary, hist = tmp_path / "summary.csv", tmp_path / "hist.csv"
+    captured = run(capsys, ["report", str(metrics), "--out", str(summary), "--hist-out", str(hist)], expect=2)
+    assert f"error: {metrics}:row 4: column 'median_rank_dev' must be finite, got inf" in captured.err
+    assert not summary.exists() and not hist.exists()

@@ -710,6 +710,9 @@ def test_no_residual_degrees_of_freedom_is_singular():
         fit_fixed(design, table)
     with pytest.raises(SingularFit):
         fit_random(design, table)
+    # each poster has one score, so n = p
+    with pytest.raises(SingularFit, match="^no residual degrees of freedom$"):
+        reml_criterion(table, 0.5)
 
 
 def dense_scaled_condition(table, theta):

@@ -327,6 +327,13 @@ HEADER = "iteration,design,win_prop,median_rank_dev,mean_score_dev,mean_se,disco
         (HEADER + "\n0,nb1,high,1,2,3,false\n", "win_prop", 2),
         (HEADER + "\n0,nb1,0.5,1,2,3,maybe\n", "disconnected", 2),
         (HEADER + "\n0,nb1,0.5,1,2,3,false\n0,nb1,0.6,1,2,3,false\n", "duplicate row", 3),
+        (HEADER + "\n0,nb1,inf,1,2,3,false\n", "column 'win_prop' must be finite, got inf", 2),
+        (HEADER + "\n0,nb1,0.5,nan,2,3,false\n", "column 'median_rank_dev' must be finite, got nan", 2),
+        (HEADER + "\n0,nb1,0.5,1,2,-Infinity,false\n", "column 'mean_se' must be finite, got -inf", 2),
+        # a row's faults: negative iteration, unknown kind, non-finite metric, repeated (iteration, design)
+        (HEADER + "\n-1,nb1,inf,1,2,3,false\n", "iteration must be >= 0", 2),
+        (HEADER + "\n0,balanced,inf,1,2,3,false\n", "unknown design kind", 2),
+        (HEADER + "\n0,nb1,0.5,1,2,3,false\n0,nb1,0.5,1,1e400,3,false\n", "'mean_score_dev' must be finite", 3),
         # every cell is parsed before any row is checked, as in a design file
         (HEADER + "\n-1,nb1,0.5,1,2,3,false\n0,nb1,high,1,2,3,false\n", "column 'win_prop' is not a number", 3),
     ],

@@ -2,9 +2,13 @@
 writes; and the package's public names."""
 
 import importlib
+import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +107,7 @@ def test_a_cell_is_spelled_by_its_column_type_and_parses_back(tmp_path):
     # the command line's key=value fields use the same spelling
     assert [format_cell(value, kind) for value, kind in zip(row, types)] == ["7", "nb2", "true", "false", "0.1", "", ""]
     _, rows = read_csv(path, header)
-    columns = parse_columns(path, header[:5], ((number, cells[:5]) for number, cells in rows), types[:5])
+    columns = parse_columns(path, header[:5], [cells[:5] for cells in rows], types[:5])
     assert [column.tolist() for column in columns] == [[7], ["nb2"], [True], [False], [0.1]]
 
 
@@ -151,7 +155,7 @@ CELLS = [
 @pytest.mark.parametrize("kind", [int, float, bool, str], ids=lambda kind: kind.__name__)
 def test_a_column_takes_a_cell_exactly_as_parse_cell_does(kind):
     for text in CELLS:
-        rows = iter([(2, [text])])
+        rows = [[text]]
         try:
             expected = parse_cell(text, kind, "table.csv", 2, "c")
         except FileFormatError as error:
@@ -204,3 +208,38 @@ def test_one_blas_thread_nests_and_gives_back_each_count():
                 assert set(blas_threads()) == {1}
             assert set(blas_threads()) == {1}
         assert set(blas_threads()) == {3}
+
+
+# loads a copy of numpy's OpenBLAS from the directory argv[1], then
+# prints each library's path and its counts inside and after the body
+_SPACED_PROBE = """
+import ctypes, json, shutil, sys
+import numpy
+from blas_threads import blas_threads, blas_threads_at, library_paths
+from nbibd._util import one_blas_thread
+(original,) = library_paths()
+ctypes.CDLL(shutil.copy(original, sys.argv[1]))
+with blas_threads_at(2):
+    with one_blas_thread():
+        inside = blas_threads()
+    after = blas_threads()
+print(json.dumps({"paths": library_paths(), "inside": inside, "after": after}))
+"""
+
+
+def test_one_blas_thread_reaches_a_library_whose_path_has_a_space(tmp_path):
+    if not blas_threads():
+        pytest.skip("no OpenBLAS is loaded")
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    paths = [str(Path(nbibd.__file__).parents[1]), str(Path(__file__).parent)]
+    # two threads at start, so the copy's pool stays small
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, "-c", _SPACED_PROBE, str(spaced)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert len(probe["paths"]) == 2 and sum(path.startswith(str(spaced)) for path in probe["paths"]) == 1
+    assert probe["inside"] == [1, 1]
+    assert probe["after"] == [2, 2]
