@@ -28,7 +28,6 @@ from .model import (
 from .simulate import (
     PRESETS,
     aggregate_results,
-    present_kinds,
     read_metrics,
     run_iterations,
     write_histogram,
@@ -222,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     # the metrics file and the failure count need no summary tables
     results = run_iterations(params)
     write_metrics(args.out, results)
-    failures = sum(len(result.failures) for result in results)
+    failures = sum(isinstance(outcome, str) for result in results for outcome in result.outcomes.values())
     designs = ",".join(kind.value for kind in params.designs)
     print(
         f"command=simulate preset={args.preset} iterations={params.iterations} "
@@ -234,7 +233,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
     if args.hist_bins < 1:
         raise ValueError(f"--hist-bins must be >= 1, got {args.hist_bins}")
     results = read_metrics(args.metrics)
-    kinds = present_kinds(results)
+    kinds = tuple(results[0].outcomes)
     aggregates = aggregate_results(results, kinds)
     write_summary(args.out, **aggregates)
     line = f"command=report iterations={len(results)} designs={len(kinds)} out={args.out}"

@@ -43,7 +43,6 @@ __all__ = [
     "SingularFit",
     "fit_fixed",
     "fit_random",
-    "rank_posters",
     "reml_criterion",
     "read_scores",
     "write_scores",
@@ -154,16 +153,6 @@ def _ranks_desc(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
     ranks = np.zeros(values.shape[0], dtype=np.int64)
     ranks[order] = np.arange(1, order.size + 1)
     return ranks
-
-
-def rank_posters(fit: FitResult, top_m: int) -> list[int]:
-    """Ids of the top_m posters by pmm, best first; ties go to the lower id."""
-    reviewed = np.flatnonzero(fit.rank > 0)
-    if not 0 <= top_m <= reviewed.size:
-        raise ValueError(f"top_m must be in [0, {reviewed.size}], got {top_m}")
-    order = np.empty(reviewed.size, dtype=np.int64)
-    order[fit.rank[reviewed] - 1] = reviewed
-    return [int(poster) for poster in order[:top_m]]
 
 
 def _check_table(design: Design, scores: ScoreTable) -> None:

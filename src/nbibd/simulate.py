@@ -5,7 +5,9 @@ every design kind select its observed cells from that shared matrix,
 fits the random-judge model, and scores the result against the known
 truth.  Because all designs within an iteration see the same truth, the
 comparisons are paired; summaries report per-design distributions and
-within-iteration differences.
+within-iteration differences.  An iteration states each design kind's
+outcome, its metrics or why it could not be built or fitted; a failed
+kind drops out of that iteration's pairs and the study goes on.
 
 Reproducibility: every random draw comes from a stream derived from
 (master seed, iteration index, role, design kind), and every iteration
@@ -45,7 +47,6 @@ __all__ = [
     "run_study",
     "write_metrics",
     "read_metrics",
-    "present_kinds",
     "aggregate_results",
     "write_summary",
     "write_histogram",
@@ -140,11 +141,15 @@ class DesignMetrics:
 
 @dataclass(frozen=True)
 class IterationResult:
-    """Metrics per design kind for one iteration; failed kinds are listed, not scored."""
+    """One iteration's outcome per design kind, in report order: its DesignMetrics, or why it failed."""
 
     iteration: int
-    metrics: Mapping[GeneratorKind, DesignMetrics]
-    failures: tuple[GeneratorKind, ...] = ()
+    outcomes: Mapping[GeneratorKind, DesignMetrics | str]
+
+    @property
+    def metrics(self) -> dict[GeneratorKind, DesignMetrics]:
+        """The scored kinds' metrics, in report order."""
+        return {kind: outcome for kind, outcome in self.outcomes.items() if isinstance(outcome, DesignMetrics)}
 
 
 @dataclass(frozen=True)
@@ -205,43 +210,37 @@ def run_iteration(params: SimParams, iteration_seed: int) -> IterationResult:
     """Generate each design, fit the random-judge model, score against truth.
 
     A kind whose nb1 generation exhausts its restart budget, or whose fit
-    raises SingularFit, is recorded as a failure for this iteration and
-    excluded from the metrics mapping.
+    raises SingularFit, gets that error, as "ExceptionName: message", for
+    its outcome in this iteration instead of metrics.
     """
     true_scores, matrix = synthesize_scores(params, iteration_seed)
     true_rank = _ranks_desc(true_scores, np.arange(params.t))
     true_top = np.flatnonzero(true_rank <= params.awards)
 
-    metrics: dict[GeneratorKind, DesignMetrics] = {}
-    failures: list[GeneratorKind] = []
+    outcomes: dict[GeneratorKind, DesignMetrics | str] = {}
     for kind in params.designs:
         config = DesignConfig(
             t=params.t, k=params.k, b=params.b, seed=_design_seed(params, iteration_seed, kind)
         )
         try:
             design, _ = generate(config, kind)
-        except NB1InfeasibleBudget:
-            failures.append(kind)
-            continue
-        disconnected = not is_connected(design)
-        table = ScoreTable.from_design_matrix(design, matrix)
-        try:
-            fit = fit_random(design, table)
-        except SingularFit:
-            failures.append(kind)
+            disconnected = not is_connected(design)
+            fit = fit_random(design, ScoreTable.from_design_matrix(design, matrix))
+        except (NB1InfeasibleBudget, SingularFit) as error:
+            outcomes[kind] = f"{type(error).__name__}: {error}"
             continue
         estimated = fit.rank[true_top].astype(np.float64)
         truth = true_rank[true_top].astype(np.float64)
         # a true-top poster wins when the fit ranks it among the awards; rank 0 is unreviewed
         winners = np.count_nonzero((estimated >= 1) & (estimated <= params.awards))
-        metrics[kind] = DesignMetrics(
+        outcomes[kind] = DesignMetrics(
             win_prop=float(winners / params.awards),
             median_rank_dev=_median(np.abs(estimated - truth)),
             mean_score_dev=float(np.mean(np.abs(fit.pmm[true_top] - true_scores[true_top]))),
             mean_se=float(np.mean(fit.se)),
             disconnected=disconnected,
         )
-    return IterationResult(iteration=iteration_seed, metrics=metrics, failures=tuple(failures))
+    return IterationResult(iteration=iteration_seed, outcomes=outcomes)
 
 
 def _median(values: np.ndarray) -> float:
@@ -276,8 +275,9 @@ def run_iterations(params: SimParams, workers: int | None = None) -> list[Iterat
     CPU).  Results are identical for any worker count because each
     iteration owns its deterministic sub-streams, and every iteration
     runs at one BLAS thread: the loop and the pool run inside
-    one_blas_thread, whose setting forked workers inherit, and the
-    caller's thread count is restored afterwards.
+    one_blas_thread, and each pool worker enters it too, for its whole
+    life, so a worker that does not inherit the setting by fork runs at
+    one thread as well.  The caller's thread count is restored afterwards.
     """
     count = _worker_count(params, workers)
     with one_blas_thread():
@@ -291,8 +291,16 @@ def run_iterations(params: SimParams, workers: int | None = None) -> list[Iterat
         except ValueError:
             context = get_context()
         chunk = max(1, params.iterations // (count * 8))
-        with context.Pool(count) as pool:
+        with context.Pool(count, initializer=_pin_worker_blas) as pool:
             return list(pool.imap(partial(run_iteration, params), range(params.iterations), chunksize=chunk))
+
+
+def _pin_worker_blas() -> None:
+    """Pool initializer: enter one_blas_thread for the worker's whole life."""
+    # held by a global, since a collected one_blas_thread context gives the threads back
+    global _worker_blas
+    _worker_blas = one_blas_thread()
+    _worker_blas.__enter__()
 
 
 def run_study(params: SimParams, workers: int | None = None) -> SimStudyReport:
@@ -372,9 +380,8 @@ def aggregate_results(results: Sequence[IterationResult], designs: Sequence[Gene
     fields of SimStudyReport), every mapping in report order: kinds in
     canonical order whatever the order of designs, pairs as (first,
     second) in that order.  A kind's failure count is the number of
-    iterations lacking a metrics entry for it, which covers both
-    failures recorded by run_iteration and rows absent from a re-read
-    metrics file.
+    iterations whose outcome for it holds no metrics: a failure reason,
+    or no outcome at all.
     """
     design_summary: dict[tuple[GeneratorKind, str], MetricSummary] = {}
     difference_summary: dict[tuple[GeneratorKind, GeneratorKind, str], DifferenceSummary] = {}
@@ -419,9 +426,11 @@ def read_metrics(path: str) -> list[IterationResult]:
 
     Every cell is parsed first, as read_design parses; the rows are then
     checked in order for a negative iteration, an unknown design kind, a
-    metric that is not finite and a repeated (iteration, design).
-    Failure lists cannot be recovered from the file; kinds simply appear
-    with no row, which aggregate_results counts as failures.
+    metric that is not finite and a repeated (iteration, design).  Each
+    result holds an outcome for every kind with a row in the file, in
+    report order; a kind with no row in an iteration fails there with the
+    reason "no row in the metrics file", as the file keeps no reasons.  A
+    kind or an iteration with no row at all is not recovered.
     """
     header, rows = read_csv(path, _METRICS_HEADER)
     columns = parse_columns(path, header, rows, _METRICS_TYPES)
@@ -443,15 +452,11 @@ def read_metrics(path: str) -> list[IterationResult]:
         if kind in per_iteration:
             raise FileFormatError(path, number, f"duplicate row for iteration {iteration}, design {kind.value}")
         per_iteration[kind] = DesignMetrics(**dict(zip(METRICS, metrics)), disconnected=disconnected)
+    kinds = _canonical(set().union(*collected.values()))
     return [
-        IterationResult(iteration=iteration, metrics=collected[iteration])
-        for iteration in sorted(collected)
+        IterationResult(iteration, {kind: scored.get(kind, "no row in the metrics file") for kind in kinds})
+        for iteration, scored in sorted(collected.items())
     ]
-
-
-def present_kinds(results: Sequence[IterationResult]) -> tuple[GeneratorKind, ...]:
-    """Design kinds appearing in any result, in canonical order."""
-    return _canonical({kind for result in results for kind in result.metrics})
 
 
 _SUMMARY_HEADER = [

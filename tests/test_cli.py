@@ -286,7 +286,7 @@ def test_production_paths_build_no_block(tmp_path, capsys, monkeypatch):
         run(capsys, ["score", "--design", path, "--scores", scores, "--model", model,
                      "--out", str(tmp_path / f"{model}.csv")])
     result = run_iteration(SimParams(t=20, b=12, k=4, awards=3, iterations=1, seed=1), 0)
-    assert not result.failures
+    assert result.metrics == result.outcomes
     with pytest.raises(AssertionError, match="Block"):
         design.blocks
 

@@ -23,7 +23,6 @@ from nbibd import (
     fit_fixed,
     fit_random,
     generate,
-    rank_posters,
     read_scores,
     reml_criterion,
     write_fit,
@@ -658,27 +657,6 @@ def test_relabeling_posters_relabels_estimates(fitter, tol):
     assert np.array_equal(moved.rank[perm], base.rank)
 
 
-def test_rank_posters_returns_best_first():
-    fit = FitResult(
-        model_kind="fixed",
-        grand_mean=2.0,
-        pmm=np.array([1.0, 3.0, 2.0]),
-        se=np.zeros(3),
-        rank=np.array([3, 1, 2]),
-        var_judge=float("nan"),
-        var_error=1.0,
-        converged=True,
-        condition_number=1.0,
-    )
-    assert rank_posters(fit, 2) == [1, 2]
-    assert rank_posters(fit, 0) == []
-    assert rank_posters(fit, 3) == [1, 2, 0]
-    with pytest.raises(ValueError):
-        rank_posters(fit, 4)
-    with pytest.raises(ValueError):
-        rank_posters(fit, -1)
-
-
 def test_tied_estimates_rank_by_poster_id():
     t, b = 4, 3
     config = DesignConfig(t=t, k=t, b=b, seed=0)
@@ -686,7 +664,6 @@ def test_tied_estimates_rank_by_poster_id():
     table = ScoreTable.from_design_matrix(design, np.full((t, b), 7.0))
     fit = fit_fixed(design, table)
     assert list(fit.rank) == [1, 2, 3, 4]
-    assert rank_posters(fit, 2) == [0, 1]
 
 
 def test_unreviewed_posters_get_nan_and_rank_zero():
@@ -699,7 +676,6 @@ def test_unreviewed_posters_get_nan_and_rank_zero():
     assert math.isnan(fit.pmm[4]) and math.isnan(fit.se[4])
     assert fit.rank[4] == 0
     assert sorted(fit.rank[:4]) == [1, 2, 3, 4]
-    assert 4 not in rank_posters(fit, 4)
 
 
 def test_no_residual_degrees_of_freedom_is_singular():

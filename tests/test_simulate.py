@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from nbibd import (
     NB1InfeasibleBudget,
     SimParams,
     aggregate_results,
-    present_kinds,
-    rank_posters,
     read_metrics,
     run_iteration,
     run_iterations,
@@ -92,8 +91,8 @@ def test_score_synthesis_is_deterministic_per_iteration():
 def test_zero_noise_iteration_recovers_the_truth_exactly():
     params = small_params(sd_poster=0.0, sd_judge=0.0, sd_error=0.0, iterations=1, seed=5)
     result = run_iteration(params, 0)
-    assert not result.failures
-    assert set(result.metrics) == set(params.designs)
+    assert list(result.outcomes) == list(params.designs)
+    assert result.metrics == result.outcomes
     for entry in result.metrics.values():
         assert entry.win_prop == 1.0
         assert entry.median_rank_dev == 0.0
@@ -126,15 +125,20 @@ def test_study_results_do_not_depend_on_worker_count():
     assert set(serial.design_summary) == {(kind, metric) for kind in params.designs for metric in METRICS}
 
 
-def test_a_large_study_does_not_depend_on_worker_count():
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_a_large_study_does_not_depend_on_worker_count(monkeypatch, method):
     # at t=1000, b=500 one and two BLAS threads give different fits, so
-    # the serial loop and the workers must run at the same thread count
+    # the serial loop and the workers must run at the same thread count,
+    # also where a worker starts a fresh interpreter instead of a fork
+    real_get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *_: real_get_context(method))
     params = SimParams(t=1000, b=500, k=5, iterations=2, seed=3, designs=("nb2",))
     with blas_threads_at(2):
         serial = run_iterations(params, workers=1)
         forked = run_iterations(params, workers=2)
+        assert set(blas_threads()) <= {2}
     assert serial == forked
-    assert not serial[0].failures
+    assert serial[0].metrics == serial[0].outcomes
 
 
 def threads_of_iteration(params, index):
@@ -246,9 +250,8 @@ def test_params_reject_nb1_shapes_counting_rules_out():
         assert params.designs == (NB2, RANDOM)
 
 
-def test_infeasible_nb1_kind_is_recorded_as_failure(monkeypatch):
-    # nb1 can still spend its whole restart budget on a shape the bound
-    # lets through; it fails while the other kinds are still scored
+def nb1_gives_up(monkeypatch):
+    """Make every nb1 generation of the study spend its whole restart budget."""
     real_generate = simulate_module.generate
 
     def generate(config, kind):
@@ -257,16 +260,45 @@ def test_infeasible_nb1_kind_is_recorded_as_failure(monkeypatch):
         return real_generate(config, kind)
 
     monkeypatch.setattr(simulate_module, "generate", generate)
+
+
+def test_infeasible_nb1_kind_is_recorded_as_failure(monkeypatch):
+    # nb1 can still spend its whole restart budget on a shape the bound
+    # lets through; it fails while the other kinds are still scored
+    nb1_gives_up(monkeypatch)
     result = run_iteration(small_params(iterations=1), 0)
-    assert result.failures == (NB1,)
+    assert list(result.outcomes) == [NB1, NB2, RANDOM]
+    assert result.outcomes[NB1] == "NB1InfeasibleBudget: gave up after 50 restarts"
     assert set(result.metrics) == {NB2, RANDOM}
     for entry in result.metrics.values():
         assert all(math.isfinite(getattr(entry, metric)) for metric in METRICS)
 
 
+def test_a_failed_kind_stays_failed_through_the_metrics_file(monkeypatch, tmp_path):
+    # the file keeps no failure reasons, but a kind with rows elsewhere
+    # and none in an iteration reads back as failed there
+    params = small_params(iterations=2)
+    with monkeypatch.context() as patch:
+        nb1_gives_up(patch)
+        results = [run_iteration(params, 0)]
+    results.append(run_iteration(params, 1))
+    assert results[0].outcomes[NB1] == "NB1InfeasibleBudget: gave up after 50 restarts"
+    path = str(tmp_path / "metrics.csv")
+    write_metrics(path, results)
+    again = read_metrics(path)
+    assert [copy.metrics for copy in again] == [result.metrics for result in results]
+    assert [list(copy.outcomes) for copy in again] == [list(params.designs)] * 2
+    assert again[0].outcomes[NB1] == "no row in the metrics file"
+    counts = aggregate_results(results, params.designs)["failure_counts"]
+    assert aggregate_results(again, params.designs)["failure_counts"] == counts == {NB1: 1, NB2: 0, RANDOM: 0}
+
+
 def test_aggregation_counts_missing_kinds_as_failures():
+    # a kind fails in an iteration by a reason or by having no outcome there
     results = (
-        IterationResult(0, {NB1: metrics_row(), RANDOM: metrics_row(disconnected=True)}),
+        IterationResult(
+            0, {NB1: metrics_row(), NB2: "SingularFit: no residual", RANDOM: metrics_row(disconnected=True)}
+        ),
         IterationResult(1, {NB1: metrics_row(disconnected=True)}),
     )
     aggregates = aggregate_results(results, (NB1, NB2, RANDOM))
@@ -275,7 +307,6 @@ def test_aggregation_counts_missing_kinds_as_failures():
     assert aggregates["design_summary"][(NB2, "win_prop")].n == 0
     assert aggregates["design_summary"][(NB1, "win_prop")].n == 2
     assert aggregates["difference_summary"][(NB1, RANDOM, "win_prop")].n == 1
-    assert present_kinds(results) == (NB1, RANDOM)
 
 
 def test_kinds_given_out_of_order_keep_every_report_row(tmp_path):
@@ -306,7 +337,7 @@ def test_metrics_csv_round_trip(tmp_path):
     for original, copy in zip(report.results, again):
         assert copy.iteration == original.iteration
         assert copy.metrics == original.metrics
-        assert copy.failures == ()
+        assert list(copy.outcomes) == list(original.outcomes)
     first = path.read_bytes()
     write_metrics(str(path), again)
     assert path.read_bytes() == first
@@ -526,7 +557,7 @@ def test_params_validation():
 @pytest.mark.parametrize("value", [8.0, 2.5, True, np.float64(8.0), "8"])
 def test_params_counts_must_be_integers(field, value):
     # a float seed used to fail inside numpy's SeedSequence, and a float
-    # awards was only stopped by a slice in rank_posters
+    # awards was only stopped by a slice in the former rank_posters
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         small_params(**{field: value})
 
@@ -553,10 +584,13 @@ def recorded_fits(monkeypatch):
 
 
 def oracle_win_prop(params, iteration, fit):
-    """The fraction of the true top that rank_posters names among the awards."""
+    """The fraction of the true top among the awards the fit's pmm gives, ties to the lower id."""
     true_scores, _ = synthesize_scores(params, iteration)
     true_top = set(np.argsort(-true_scores, kind="stable")[: params.awards].tolist())
-    return len(set(rank_posters(fit, params.awards)) & true_top) / params.awards
+    # an unreviewed poster has no estimate and wins nothing
+    reviewed = np.flatnonzero(~np.isnan(fit.pmm))
+    fitted_top = reviewed[np.argsort(-fit.pmm[reviewed], kind="stable")][: params.awards]
+    return len(set(fitted_top.tolist()) & true_top) / params.awards
 
 
 def test_win_prop_counts_the_true_top_among_the_fitted_winners(monkeypatch):
@@ -567,7 +601,7 @@ def test_win_prop_counts_the_true_top_among_the_fitted_winners(monkeypatch):
         fits.clear()
         result = run_iteration(params, iteration)
         # run_iteration fits the kinds in order and scores each fit it keeps
-        assert list(result.metrics) == [kind for kind in params.designs if kind not in result.failures]
+        assert list(result.outcomes) == list(params.designs)
         for kind, fit in zip(result.metrics, fits, strict=True):
             win_prop = result.metrics[kind].win_prop
             assert type(win_prop) is float
@@ -608,7 +642,7 @@ def test_params_reject_shapes_the_near_balanced_kinds_cannot_cover():
 
 def test_params_reject_awards_past_the_near_balanced_reach():
     # 4 blocks of 5 reach 17 of 20 posters: awarding 18 used to abort the
-    # study in rank_posters with "top_m must be in [0, 17]"
+    # study in the former rank_posters with "top_m must be in [0, 17]"
     with pytest.raises(ValueError, match="= 17 of 20 .* at least 5 judges"):
         SimParams(t=20, b=4, k=5, awards=18)
     assert SimParams(t=20, b=5, k=5, awards=18).b == 5
@@ -645,6 +679,6 @@ def test_accepted_shapes_never_abort_or_report_nan(shape, seed):
         kinds = {NB2, RANDOM}
         params = SimParams(t=t, k=k, b=b, awards=awards, iterations=1, seed=seed, designs=tuple(kinds))
     result = run_iteration(params, 0)
-    assert set(result.metrics) | set(result.failures) == kinds
+    assert set(result.outcomes) == kinds
     for entry in result.metrics.values():
         assert all(math.isfinite(getattr(entry, metric)) for metric in METRICS)

@@ -45,7 +45,7 @@ def write_files(tmp_path):
     metrics = DesignMetrics(win_prop=0.5, median_rank_dev=1.0, mean_score_dev=2.0, mean_se=3.0, disconnected=False)
     write_design(str(tmp_path / "design.csv"), design)
     write_scores(str(tmp_path / "scores.csv"), table)
-    write_metrics(str(tmp_path / "metrics.csv"), [IterationResult(iteration=0, metrics={"nb2": metrics})])
+    write_metrics(str(tmp_path / "metrics.csv"), [IterationResult(iteration=0, outcomes={"nb2": metrics})])
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
